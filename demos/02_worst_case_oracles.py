@@ -56,6 +56,10 @@ tail_profile = dl.Profile(
 )
 rep_bad = dl.metric_distortion(unlucky, tail_profile)
 print("point mass on the universally-last alternative:", rep_bad.value)
+# Unbounded answers carry a witness too: the optimum costs nothing there
+# while the lottery still pays.
+print("witness social costs per alternative:",
+      rep_bad.witness.agent_alt.sum(axis=0).tolist())
 print()
 
 # ---- tiny exhaustive sweep: the worst profile for plurality at n=m=2 ----

@@ -2,27 +2,40 @@
 
 Given a lottery and a ballot profile, these oracles compute the supremum of
 the lottery's distortion over every cardinal instance consistent with the
-ballots, exactly, via linear programming:
+ballots, exactly. Each one first decides unboundedness combinatorially and
+only then solves linear programs, so every answer, finite or unbounded,
+comes with a concrete witness instance.
 
-* Metric world: variables are the n*m agent-alternative distances. The
-  feasible set couples per-agent consistency rows with the quadrilateral
-  rows d(i,X) <= d(i,Y) + d(j,Y) + d(j,X), which hold for a bipartite
-  distance grid exactly when it extends to a full pseudometric (the
-  shortest-path closure provides the extension, and is what witness
-  construction uses). Per candidate optimum X* two programs run: a
-  degeneracy program that maximizes expected cost inside the unit box with
-  the cost of X* pinned to zero (a positive value means the ratio can blow
-  up, i.e. unbounded distortion), then the main program with the cost of X*
-  normalized to one, whose unboundedness is likewise an unbounded-distortion
-  certificate.
+* Metric world. For a candidate optimum X*, let Z(X*) be the closure of
+  {X*} under "some agent's ballot puts b directly above w, with w in Z":
+  these are the alternatives every agent must sit on once the cost of X*
+  is zero. The distortion is unbounded iff, for some X* scanned in
+  ascending order, n times the lottery mass outside Z(X*) exceeds 1e-12
+  (the rule by which ``eval_distortion`` calls a zero-cost optimum
+  unbounded). The witness puts every agent at distance 0 from Z(X*) and 1
+  from everything else. Otherwise one program per X* maximizes the
+  expected cost with the cost of X* normalized to one. Its variables are
+  the n*m agent-alternative distances followed by m(m-1)/2 pair variables
+  e(X,Y), and besides the per-agent consistency rows it has the rows
+  d(i,X) - d(i,Y) <= e(X,Y) for every agent and ordered pair and
+  e(X,Y) <= d(j,X) + d(j,Y) for every agent and unordered pair, which is
+  3n*m(m-1)/2 rows against the n(n-1)*m(m-1) rows of the quadrilateral
+  block they replace. Eliminating e leaves exactly the quadrilateral
+  conditions d(i,X) <= d(i,Y) + d(j,Y) + d(j,X), which hold for a
+  bipartite distance grid exactly when it extends to a full pseudometric
+  (the shortest-path closure provides the extension, and is what witness
+  construction uses). Once the closure test has passed, the program is
+  bounded.
 
-* Utilitarian world: the ratio of best welfare to expected welfare is
-  linear-fractional in the unit-sum utilities, so it is homogenized the
-  standard way: scaled utilities v = s*u with every agent row summing to the
-  scale variable s and the expected welfare pinned to one. The program for
-  candidate X* is unbounded exactly when the expected welfare can be forced
-  to zero while X* keeps positive welfare, which again means unbounded
-  distortion.
+* Utilitarian world. The distortion is unbounded iff no agent's top choice
+  is in the lottery's support: only then can every agent put zero utility
+  on the whole support. The witness spreads each agent's utility uniformly
+  over the alternatives that may be positive while the support gets 0.
+  Otherwise the ratio of best welfare to expected welfare, which is
+  linear-fractional in the unit-sum utilities, is homogenized the standard
+  way: scaled utilities v = s*u with every agent row summing to the scale
+  variable s and the expected welfare pinned to one, maximizing the
+  welfare of each candidate X*.
 
 A brute-force twin for the utilitarian world enumerates the vertices of each
 agent's consistency polytope (uniform mass on a rank prefix), at which the
@@ -65,7 +78,6 @@ from .core import (
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 DEFAULT_COMPLETION_BUDGET = 10**5
-DEGENERACY_TOL = 1e-7
 
 __all__ = [
     "DistortionReport",
@@ -88,21 +100,20 @@ class BudgetExceededError(RuntimeError):
 class DistortionReport:
     """Worst-case value with a machine-checkable certificate.
 
-    For finite values ``witness`` is a consistent cardinal instance on which
-    ``eval_distortion`` reproduces ``value`` within 1e-5, and ``arg_optimum``
-    is the alternative that is optimal there. For unbounded values a witness
-    is attached when one exists as a concrete instance (cost degeneracy);
-    otherwise it is None.
+    ``witness`` is always a cardinal instance consistent with the ballots.
+    For finite values ``eval_distortion`` reproduces ``value`` on it within
+    1e-5, and ``arg_optimum`` is the alternative that is optimal there. For
+    unbounded values ``eval_distortion`` gives unbounded on it: the optimum
+    ``arg_optimum`` has zero cost (metric) or the lottery's expected welfare
+    is zero (utilitarian).
     """
 
     value: DistortionValue
-    witness: "MetricSpace | UtilityProfile | None"
+    witness: "MetricSpace | UtilityProfile"
     arg_optimum: int
 
     def to_json(self) -> dict:
-        if self.witness is None:
-            witness = None
-        elif isinstance(self.witness, MetricSpace):
+        if isinstance(self.witness, MetricSpace):
             witness = {
                 "points": self.witness.n + self.witness.m,
                 "dist": self.witness.dist.tolist(),
@@ -122,31 +133,39 @@ class DistortionReport:
 
 
 @lru_cache(maxsize=64)
-def _quadrilateral_rows(n: int, m: int) -> np.ndarray:
-    """Rows encoding d(i,X) - d(i,Y) - d(j,Y) - d(j,X) <= 0 for i!=j, X!=Y.
+def _pair_rows(n: int, m: int) -> np.ndarray:
+    """Rows tying the pair variables e(X,Y) to the distance grid.
 
-    These are exactly the conditions under which an agent-alternative grid
-    extends to a pseudometric on the union, so optimizing over them equals
-    optimizing over consistent pseudometrics. Cached per shape: the rows do
-    not depend on the profile.
+    Columns are the n*m distances d(i,X) at i*m+X, then one e(X,Y) per
+    unordered pair X<Y in lexicographic order. The rows encode
+    d(i,X) - d(i,Y) - e(X,Y) <= 0 for every agent and ordered pair X!=Y,
+    then e(X,Y) - d(j,X) - d(j,Y) <= 0 for every agent and unordered pair.
+    Eliminating e gives |d(i,X) - d(i,Y)| <= d(j,X) + d(j,Y) for all i, j:
+    the quadrilateral conditions under which the grid extends to a
+    pseudometric (the i == j cases follow from d >= 0). Cached per shape:
+    the rows do not depend on the profile.
     """
+    nm = n * m
+    pair_col = {
+        pair: nm + k for k, pair in enumerate(itertools.combinations(range(m), 2))
+    }
     rows = []
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for x in range(m):
-                for y in range(m):
-                    if x == y:
-                        continue
-                    row = np.zeros(n * m)
-                    row[i * m + x] += 1.0
-                    row[i * m + y] -= 1.0
-                    row[j * m + y] -= 1.0
-                    row[j * m + x] -= 1.0
-                    rows.append(row)
+        for x, y in itertools.permutations(range(m), 2):
+            row = np.zeros(nm + len(pair_col))
+            row[i * m + x] = 1.0
+            row[i * m + y] = -1.0
+            row[pair_col[min(x, y), max(x, y)]] = -1.0
+            rows.append(row)
+    for j in range(n):
+        for (x, y), col in pair_col.items():
+            row = np.zeros(nm + len(pair_col))
+            row[col] = 1.0
+            row[j * m + x] = -1.0
+            row[j * m + y] = -1.0
+            rows.append(row)
     if not rows:
-        return np.zeros((0, n * m))
+        return np.zeros((0, nm))
     return np.asarray(rows)
 
 
@@ -183,57 +202,77 @@ def _metric_closure(grid: np.ndarray, n: int, m: int) -> MetricSpace:
     return MetricSpace(n=n, m=m, dist=dist)
 
 
+def _metric_unbounded(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport | None:
+    """The unbounded report with its witness, or None if the distortion is finite.
+
+    If the cost of X* is zero, every agent sits at X*, so every alternative
+    an agent ranks directly above a point they sit at is one they sit at
+    too; Z(X*) is the closure of {X*} under that rule. Putting every agent
+    at distance 0 from Z(X*) and 1 from the rest is consistent and leaves
+    the lottery paying n times its mass outside Z(X*).
+    """
+    n, m = p.n, p.m
+    above: list[set[int]] = [set() for _ in range(m)]
+    for i in range(n):
+        for better, worse in _consistency_chain(p, i):
+            above[worse].add(better)
+    for x_star in range(m):
+        zero = {x_star}
+        stack = [x_star]
+        while stack:
+            for b in above[stack.pop()]:
+                if b not in zero:
+                    zero.add(b)
+                    stack.append(b)
+        row = np.ones(m)
+        row[list(zero)] = 0.0
+        # The witness's social costs, on which eval_distortion decides.
+        if float(lot.prob @ (n * row)) > LOTTERY_TOL:
+            witness = _metric_closure(np.tile(row, (n, 1)), n, m)
+            return DistortionReport(
+                value=DistortionValue.unbounded(), witness=witness, arg_optimum=x_star
+            )
+    return None
+
+
 def _metric_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
     """Worst case over pseudometrics consistent with the given ballots."""
+    unbounded = _metric_unbounded(lot, p)
+    if unbounded is not None:
+        return unbounded
     n, m = p.n, p.m
-    nv = n * m
-    objective = np.tile(lot.prob, n)  # expected social cost coefficients
-    base = np.vstack([_consistency_rows(p), _quadrilateral_rows(n, m)])
-    norm_row = np.zeros(nv)
-    # filled per candidate: sum_i d(i, x_star)
+    nm = n * m
+    pairs = _pair_rows(n, m)
+    nv = pairs.shape[1]
+    objective = np.zeros(nv)
+    objective[:nm] = np.tile(lot.prob, n)  # expected social cost coefficients
+    consistency = _consistency_rows(p)
+    lhs = np.zeros((consistency.shape[0] + pairs.shape[0] + 1, nv))
+    lhs[: consistency.shape[0], :nm] = consistency
+    lhs[consistency.shape[0] : -1] = pairs
+    # The last row, filled per candidate, normalizes sum_i d(i, x_star) to 1.
+    rel = ("<=",) * (lhs.shape[0] - 1) + ("=",)
+    rhs = np.zeros(lhs.shape[0])
+    rhs[-1] = 1.0
 
     best_value = -math.inf
     best_assignment: np.ndarray | None = None
     best_x = 0
     for x_star in range(m):
-        norm = norm_row.copy()
-        norm[x_star::m] = 1.0
-
-        # Degeneracy probe: can the optimum cost vanish while the lottery
-        # still pays? Bounded by the unit box to keep the program finite.
-        box = np.eye(nv)
-        a_deg = np.vstack([base, box, norm[None, :]])
-        rel_deg = ("<=",) * (base.shape[0] + nv) + ("=",)
-        rhs_deg = np.concatenate([np.zeros(base.shape[0]), np.ones(nv), [0.0]])
-        deg = lp.solve(
-            lp.LinearProgram(objective=objective, lhs=a_deg, relations=rel_deg, rhs=rhs_deg)
-        )
-        if deg.status != lp.OPTIMAL:
-            raise RuntimeError(f"degeneracy probe returned {deg.status}")
-        if deg.value > DEGENERACY_TOL:
-            witness = _metric_closure(deg.assignment.reshape(n, m), n, m)
-            return DistortionReport(
-                value=DistortionValue.unbounded(), witness=witness, arg_optimum=x_star
-            )
-
-        a_main = np.vstack([base, norm[None, :]])
-        rel_main = ("<=",) * base.shape[0] + ("=",)
-        rhs_main = np.concatenate([np.zeros(base.shape[0]), [1.0]])
-        main = lp.solve(
-            lp.LinearProgram(objective=objective, lhs=a_main, relations=rel_main, rhs=rhs_main)
-        )
-        if main.status == lp.UNBOUNDED:
-            return DistortionReport(
-                value=DistortionValue.unbounded(), witness=None, arg_optimum=x_star
-            )
+        a = lhs.copy()
+        a[-1, x_star:nm:m] = 1.0
+        main = lp.solve(lp.LinearProgram(objective=objective, lhs=a, relations=rel, rhs=rhs))
         if main.status != lp.OPTIMAL:
-            raise RuntimeError(f"main metric program returned {main.status}")
+            raise RuntimeError(
+                f"metric program for x*={x_star} returned {main.status} "
+                "after the closure test found the distortion bounded"
+            )
         if main.value > best_value + 1e-12:
             best_value = main.value
             best_assignment = main.assignment
             best_x = x_star
 
-    witness = _metric_closure(best_assignment.reshape(n, m), n, m)
+    witness = _metric_closure(best_assignment[:nm].reshape(n, m), n, m)
     return DistortionReport(
         value=DistortionValue.finite(max(best_value, 1.0)),
         witness=witness,
@@ -246,12 +285,47 @@ def _metric_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
 # ---------------------------------------------------------------------------
 
 
-def _utilitarian_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
-    """Worst case over unit-sum utility profiles consistent with the ballots.
+def _utilitarian_unbounded(
+    lot: Lottery, p: Profile | TopTProfile
+) -> DistortionReport | None:
+    """The unbounded report with its witness, or None if the distortion is finite.
 
-    Homogenized program over v = s*u: agent rows sum to s, monotonicity along
-    each ballot, expected welfare pinned to 1; maximize the welfare of the
-    candidate optimum. Unboundedness certifies unbounded distortion.
+    Expected welfare can vanish only if every agent gives the whole support
+    zero utility, which a unit-sum row consistent with the ballot allows
+    exactly when the agent's top choice is outside the support. The witness
+    spreads each agent's utility uniformly over the alternatives that may
+    then be positive: those ranked above the first support alternative, or,
+    for a prefix that ranks none, the prefix and the unranked alternatives
+    outside the support.
+    """
+    support = set(lot.support())
+    positive: list[list[int]] = []
+    for i in range(p.n):
+        ballot = p.prefixes[i] if isinstance(p, TopTProfile) else p.rankings[i].order
+        first = next((k for k, x in enumerate(ballot) if x in support), None)
+        if first == 0:
+            return None
+        if first is None:
+            positive.append(list(ballot) + [x for x in p.unranked(i) if x not in support])
+        else:
+            positive.append(list(ballot[:first]))
+    util = np.zeros((p.n, p.m))
+    for i, alts in enumerate(positive):
+        util[i, alts] = 1.0 / len(alts)
+    return DistortionReport(
+        value=DistortionValue.unbounded(),
+        witness=UtilityProfile(util),
+        arg_optimum=min(min(alts) for alts in positive),
+    )
+
+
+def _utilitarian_program(
+    lot: Lottery, p: Profile | TopTProfile
+) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """Constraints of the homogenized program over v = s*u, as (lhs, relations, rhs).
+
+    Agent rows sum to the trailing scale variable s, utilities are monotone
+    along each ballot, and the expected welfare is pinned to 1.
     """
     n, m = p.n, p.m
     nv = n * m + 1  # trailing variable is the scale s
@@ -280,23 +354,34 @@ def _utilitarian_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionRep
     rows.append(denom)
     rel.append("=")
     rhs.append(1.0)
-    a = np.asarray(rows)
-    rhs = np.asarray(rhs)
-    rel = tuple(rel)
+    return np.asarray(rows), tuple(rel), np.asarray(rhs)
+
+
+def _utilitarian_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
+    """Worst case over unit-sum utility profiles consistent with the ballots.
+
+    After the support test, maximizes the welfare of each candidate optimum
+    in the homogenized program; the test guarantees the program is bounded.
+    """
+    unbounded = _utilitarian_unbounded(lot, p)
+    if unbounded is not None:
+        return unbounded
+    n, m = p.n, p.m
+    s_col = n * m
+    a, rel, rhs = _utilitarian_program(lot, p)
 
     best_value = -math.inf
     best_assignment: np.ndarray | None = None
     best_x = 0
     for x_star in range(m):
-        objective = np.zeros(nv)
+        objective = np.zeros(s_col + 1)
         objective[x_star:s_col:m] = 1.0
         out = lp.solve(lp.LinearProgram(objective=objective, lhs=a, relations=rel, rhs=rhs))
-        if out.status == lp.UNBOUNDED:
-            return DistortionReport(
-                value=DistortionValue.unbounded(), witness=None, arg_optimum=x_star
-            )
         if out.status != lp.OPTIMAL:
-            raise RuntimeError(f"utilitarian program returned {out.status}")
+            raise RuntimeError(
+                f"utilitarian program for x*={x_star} returned {out.status} "
+                "after the support test found the distortion bounded"
+            )
         if out.value > best_value + 1e-12:
             best_value = out.value
             best_assignment = out.assignment

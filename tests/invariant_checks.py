@@ -241,8 +241,7 @@ def _check_oracle_witness():
             ("utilitarian", dl.utilitarian_distortion, dl.is_utility_consistent),
         ):
             report = oracle(lot, p)
-            if report.witness is None:
-                continue
+            assert report.witness is not None, (case, world)
             assert predicate(report.witness, p), (case, world)
             evaluated = dl.eval_distortion(lot, report.witness)
             if report.value.is_finite:

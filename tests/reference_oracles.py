@@ -1,0 +1,158 @@
+"""Test-only reference oracles: the LP formulations the library replaced.
+
+``reference_metric_report`` is the quadrilateral-row metric program. Its
+feasible set couples the per-agent consistency rows with
+d(i,X) <= d(i,Y) + d(j,Y) + d(j,X) for every i != j and X != Y, which is
+n(n-1)m(m-1) rows. Per candidate optimum X* it first solves a boxed
+degeneracy probe (maximize expected cost with the cost of X* pinned to 0),
+then the main program with the cost of X* normalized to 1.
+
+``reference_utilitarian_report`` is the homogenized utilitarian program
+that decides unboundedness by the LP alone.
+
+Both return ``witness=None`` when a main program is unbounded. They are
+kept to cross-check the library's compact metric program and its
+combinatorial unboundedness tests on small shapes; they run on the direct
+ballot constraints (no completion enumeration).
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+
+import numpy as np
+
+from distortion_lab import lp
+from distortion_lab.core import (
+    DistortionValue,
+    Lottery,
+    Profile,
+    TopTProfile,
+    UtilityProfile,
+)
+from distortion_lab.oracles import (
+    DistortionReport,
+    _consistency_rows,
+    _metric_closure,
+    _utilitarian_program,
+)
+
+DEGENERACY_TOL = 1e-7
+
+
+@lru_cache(maxsize=64)
+def _quadrilateral_rows(n: int, m: int) -> np.ndarray:
+    """Rows encoding d(i,X) - d(i,Y) - d(j,Y) - d(j,X) <= 0 for i!=j, X!=Y."""
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            for x in range(m):
+                for y in range(m):
+                    if x == y:
+                        continue
+                    row = np.zeros(n * m)
+                    row[i * m + x] += 1.0
+                    row[i * m + y] -= 1.0
+                    row[j * m + y] -= 1.0
+                    row[j * m + x] -= 1.0
+                    rows.append(row)
+    if not rows:
+        return np.zeros((0, n * m))
+    return np.asarray(rows)
+
+
+def reference_metric_report(
+    lot: Lottery, p: Profile | TopTProfile
+) -> DistortionReport:
+    """Worst case over consistent pseudometrics via the quadrilateral program."""
+    n, m = p.n, p.m
+    nv = n * m
+    objective = np.tile(lot.prob, n)
+    base = np.vstack([_consistency_rows(p), _quadrilateral_rows(n, m)])
+
+    best_value = -math.inf
+    best_assignment: np.ndarray | None = None
+    best_x = 0
+    for x_star in range(m):
+        norm = np.zeros(nv)
+        norm[x_star::m] = 1.0
+
+        box = np.eye(nv)
+        a_deg = np.vstack([base, box, norm[None, :]])
+        rel_deg = ("<=",) * (base.shape[0] + nv) + ("=",)
+        rhs_deg = np.concatenate([np.zeros(base.shape[0]), np.ones(nv), [0.0]])
+        deg = lp.solve(
+            lp.LinearProgram(objective=objective, lhs=a_deg, relations=rel_deg, rhs=rhs_deg)
+        )
+        if deg.status != lp.OPTIMAL:
+            raise RuntimeError(f"degeneracy probe returned {deg.status}")
+        if deg.value > DEGENERACY_TOL:
+            witness = _metric_closure(deg.assignment.reshape(n, m), n, m)
+            return DistortionReport(
+                value=DistortionValue.unbounded(), witness=witness, arg_optimum=x_star
+            )
+
+        a_main = np.vstack([base, norm[None, :]])
+        rel_main = ("<=",) * base.shape[0] + ("=",)
+        rhs_main = np.concatenate([np.zeros(base.shape[0]), [1.0]])
+        main = lp.solve(
+            lp.LinearProgram(objective=objective, lhs=a_main, relations=rel_main, rhs=rhs_main)
+        )
+        if main.status == lp.UNBOUNDED:
+            return DistortionReport(
+                value=DistortionValue.unbounded(), witness=None, arg_optimum=x_star
+            )
+        if main.status != lp.OPTIMAL:
+            raise RuntimeError(f"main metric program returned {main.status}")
+        if main.value > best_value + 1e-12:
+            best_value = main.value
+            best_assignment = main.assignment
+            best_x = x_star
+
+    witness = _metric_closure(best_assignment.reshape(n, m), n, m)
+    return DistortionReport(
+        value=DistortionValue.finite(max(best_value, 1.0)),
+        witness=witness,
+        arg_optimum=best_x,
+    )
+
+
+def reference_utilitarian_report(
+    lot: Lottery, p: Profile | TopTProfile
+) -> DistortionReport:
+    """Worst case over consistent unit-sum utilities, unboundedness by LP."""
+    n, m = p.n, p.m
+    s_col = n * m
+    a, rel, rhs = _utilitarian_program(lot, p)
+    nv = a.shape[1]
+
+    best_value = -math.inf
+    best_assignment: np.ndarray | None = None
+    best_x = 0
+    for x_star in range(m):
+        objective = np.zeros(nv)
+        objective[x_star:s_col:m] = 1.0
+        out = lp.solve(lp.LinearProgram(objective=objective, lhs=a, relations=rel, rhs=rhs))
+        if out.status == lp.UNBOUNDED:
+            return DistortionReport(
+                value=DistortionValue.unbounded(), witness=None, arg_optimum=x_star
+            )
+        if out.status != lp.OPTIMAL:
+            raise RuntimeError(f"utilitarian program returned {out.status}")
+        if out.value > best_value + 1e-12:
+            best_value = out.value
+            best_assignment = out.assignment
+            best_x = x_star
+
+    s = best_assignment[s_col]
+    grid = best_assignment[:s_col].reshape(n, m) / s
+    grid = np.clip(grid, 0.0, None)
+    grid /= grid.sum(axis=1, keepdims=True)
+    return DistortionReport(
+        value=DistortionValue.finite(max(best_value, 1.0)),
+        witness=UtilityProfile(grid),
+        arg_optimum=best_x,
+    )

@@ -142,6 +142,24 @@ class TestOracle:
         assert code == 0
         assert json.loads(out)["value"] == "unbounded"
 
+    @pytest.mark.parametrize(
+        "world, prob", [("metric", [0.6, 0.4]), ("utilitarian", [0.0, 1.0])]
+    )
+    def test_unbounded_report_carries_witness(self, tmp_path, world, prob):
+        p = dl.Profile(m=2, rankings=(dl.Ranking((0, 1)),))
+        inst_path, lot_path = tmp_path / "single.json", tmp_path / "lot.json"
+        dl.save_instance(p, inst_path)
+        dl.save_lottery(dl.Lottery(np.array(prob)), lot_path)
+        code, out, _ = run_cli(
+            ["oracle", "--world", world, "--lottery", str(lot_path),
+             "--instance", str(inst_path)]
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["value"] == "unbounded"
+        assert payload["arg_optimum"] == 0
+        assert payload["witness"] is not None
+
     def test_bruteforce_agreement_path(self, inst):
         code, out, err = run_cli(
             ["oracle", "--world", "utilitarian", "--rule", "harmonic",

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import distortion_lab as dl
+from conftest import random_lottery
+from reference_oracles import reference_metric_report, reference_utilitarian_report
 from distortion_lab import (
     BudgetExceededError,
     Lottery,
@@ -37,6 +39,46 @@ class TestUtilitarianOracle:
     def test_point_mass_on_bottom_unbounded(self):
         rep = utilitarian_distortion(Lottery.point_mass(2, 1), AB)
         assert rep.value.is_unbounded
+
+    def test_unbounded_witness_full_rankings(self):
+        # Neither top choice (0, 1) is in the support {2, 3}: agent 0 may be
+        # positive on 0 only, agent 1 on 1 and 0, ahead of support alt 3.
+        p = Profile(m=4, rankings=((0, 2, 1, 3), (1, 0, 3, 2)))
+        lot = Lottery(np.array([0.0, 0.0, 0.25, 0.75]))
+        rep = utilitarian_distortion(lot, p)
+        assert rep.value.is_unbounded
+        assert rep.arg_optimum == 0
+        assert np.allclose(rep.witness.util, [[1, 0, 0, 0], [0.5, 0.5, 0, 0]])
+        assert dl.is_utility_consistent(rep.witness, p)
+        assert dl.eval_distortion(lot, rep.witness).is_unbounded
+
+    def test_unbounded_witness_prefix_without_support(self):
+        # Agent 0 ranks no support alternative: its prefix and the unranked
+        # alternative 3 outside the support may all be positive.
+        p = TopTProfile(m=4, t=2, prefixes=((1, 0), (3, 2)))
+        lot = Lottery.point_mass(4, 2)
+        rep = utilitarian_distortion(lot, p, completion_budget=0)
+        assert rep.value.is_unbounded
+        assert rep.arg_optimum == 0
+        assert np.allclose(rep.witness.util, [[1 / 3, 1 / 3, 0, 1 / 3], [0, 0, 0, 1]])
+        assert dl.is_utility_consistent(rep.witness, p)
+        assert dl.eval_distortion(lot, rep.witness).is_unbounded
+
+    def test_support_on_a_top_choice_is_bounded(self):
+        p = Profile(m=3, rankings=((0, 1, 2), (2, 1, 0)))
+        rep = utilitarian_distortion(Lottery(np.array([0.0, 0.999, 0.001])), p)
+        assert rep.value.is_finite
+
+    @pytest.mark.xfail(strict=True, raises=RuntimeError)
+    @pytest.mark.parametrize("eps", [1e-6, 1e-13])
+    def test_tiny_mass_on_shared_top(self, eps):
+        # Known LP scaling defect: the true value is 1/eps, but the pinned
+        # expected welfare row has an eps coefficient. At 1e-6 the solver's
+        # feasibility post-check fails; at 1e-13 the program looks unbounded
+        # although the support test found it bounded.
+        p = Profile(m=3, rankings=((0, 1, 2), (0, 2, 1)))
+        rep = utilitarian_distortion(Lottery(np.array([eps, 1.0 - eps, 0.0])), p)
+        assert rep.value.value == pytest.approx(1.0 / eps, rel=1e-6)
 
 
 class TestBruteforceTwin:
@@ -85,9 +127,97 @@ class TestMetricOracle:
         rep = metric_distortion(Lottery(np.array([0.6, 0.4])), AB)
         assert rep.value.is_unbounded
 
+    def test_unbounded_witness_closes_over_ballots(self):
+        # With the cost of 0 at zero, agent 1 (who ranks 2 above 0) must sit
+        # on 2 as well; the lottery's mass on 1 is what blows up.
+        p = Profile(m=3, rankings=((0, 2, 1), (2, 0, 1)))
+        lot = Lottery(np.array([0.5, 0.5, 0.0]))
+        rep = metric_distortion(lot, p)
+        assert rep.value.is_unbounded
+        assert rep.arg_optimum == 0
+        assert np.allclose(rep.witness.agent_alt, [[0, 1, 0], [0, 1, 0]])
+        assert dl.is_metric_consistent(rep.witness, p)
+        assert dl.eval_distortion(lot, rep.witness).is_unbounded
+
+    def test_unbounded_witness_on_prefix(self):
+        p = TopTProfile(m=3, t=1, prefixes=((0,), (1,)))
+        lot = Lottery(np.array([0.0, 0.0, 1.0]))
+        rep = metric_distortion(lot, p, completion_budget=0)
+        assert rep.value.is_unbounded
+        assert rep.arg_optimum == 0
+        assert dl.is_metric_consistent(rep.witness, p)
+        assert dl.eval_distortion(lot, rep.witness).is_unbounded
+
+    # Two agents who put 2 last; the lottery puts eps on it. n * eps above
+    # the 1e-12 lottery tolerance is unbounded, as eval_distortion rules on
+    # the witness; below it the value is finite.
+    @pytest.mark.parametrize("eps", [3e-8, 1e-8, 1e-9, 1e-11])
+    def test_tiny_mass_on_common_last_is_unbounded(self, eps):
+        p = Profile(m=3, rankings=((0, 1, 2), (1, 0, 2)))
+        lot = Lottery(np.array([0.5, 0.5 - eps, eps]))
+        rep = metric_distortion(lot, p)
+        assert rep.value.is_unbounded
+        assert rep.arg_optimum == 0
+        assert dl.is_metric_consistent(rep.witness, p)
+        assert dl.eval_distortion(lot, rep.witness).is_unbounded
+
+    def test_mass_below_lottery_tolerance_is_finite(self):
+        p = Profile(m=3, rankings=((0, 1, 2), (1, 0, 2)))
+        lot = Lottery(np.array([0.5, 0.5 - 1e-13, 1e-13]))
+        rep = metric_distortion(lot, p)
+        assert rep.value.value == pytest.approx(2.0)
+        assert dl.is_metric_consistent(rep.witness, p)
+        assert dl.eval_distortion(lot, rep.witness).value == pytest.approx(2.0)
+
     def test_witness_is_consistent(self):
         rep = metric_distortion(Lottery.point_mass(2, 0), AB_BA)
         assert dl.is_metric_consistent(rep.witness, AB_BA)
+
+
+def _reference_cases(count: int):
+    """Seeded small cases: n <= 5, m <= 4, a third top-t, varied lotteries."""
+    for case in range(count):
+        rng = np.random.default_rng(41_000 + case)
+        n, m = int(rng.integers(1, 6)), int(rng.integers(2, 5))
+        p = dl.random_profile(n, m, seed=41_000 + case)
+        if case % 3 == 0:
+            p = dl.truncate_profile(p, int(rng.integers(1, m)))
+        if case % 5 == 0:
+            lot = Lottery.point_mass(m, int(rng.integers(m)))
+        elif case % 5 == 1:
+            lot = dl.random_dictatorship(p)
+        else:
+            lot = random_lottery(rng, m)  # about 30% zero-mass entries
+        yield case, lot, p
+
+
+class TestReferenceCrossCheck:
+    """The compact program and closure tests against the replaced LPs."""
+
+    @pytest.mark.parametrize(
+        "oracle, reference",
+        [
+            (metric_distortion, reference_metric_report),
+            (utilitarian_distortion, reference_utilitarian_report),
+        ],
+        ids=["metric", "utilitarian"],
+    )
+    def test_matches_reference(self, oracle, reference):
+        mismatches = []
+        for case, lot, p in _reference_cases(300):
+            got = oracle(lot, p, completion_budget=0)
+            want = reference(lot, p)
+            same = (
+                got.value.is_unbounded == want.value.is_unbounded
+                and got.arg_optimum == want.arg_optimum
+                and (
+                    got.value.is_unbounded
+                    or abs(got.value.value - want.value.value) <= 1e-6
+                )
+            )
+            if not same:
+                mismatches.append((case, got.value, want.value, got.arg_optimum, want.arg_optimum))
+        assert mismatches == []
 
 
 class TestRuleDistortion:
@@ -186,6 +316,7 @@ class TestReportSerialization:
         rep = metric_distortion(Lottery(np.array([0.6, 0.4])), AB)
         payload = rep.to_json()
         assert payload["value"] == "unbounded"
+        assert payload["witness"]["points"] == 3
 
     def test_utility_witness_payload(self):
         rep = utilitarian_distortion(Lottery(np.array([0.5, 0.5])), AB)
