@@ -9,8 +9,11 @@ and ``generate`` (write generator output to instance files).
 stdout carries only each command's primary output; diagnostics go to
 stderr. Exit codes: 0 success, 2 unknown rule, 3 invalid instance or
 config, 4 bad parameters, 5 brute-force disagreement, 6 budget exceeded.
-The environment variable ``DISTORTION_LAB_BUDGET`` overrides the default
-enumeration budget; an explicit ``--budget`` flag wins over both.
+The enumeration budget caps the brute-force twin (``oracle
+--check-bruteforce``) and exhaustive ``reproduce`` tables; top-t oracles
+solve one exact prefix program and need none. The environment variable
+``DISTORTION_LAB_BUDGET`` overrides the default budget (a non-integer value
+exits 4); an explicit ``--budget`` flag wins over both.
 """
 
 from __future__ import annotations
@@ -75,9 +78,6 @@ class RuleSpec:
     epsilon: float | None = None
     beta: float | None = None
     components: tuple[str, str] | None = None
-
-    def label(self) -> str:
-        return self.rule_id
 
 
 def _accepts(spec: RuleSpec) -> frozenset[str]:
@@ -227,7 +227,7 @@ def cmd_oracle(args) -> int:
         if args.world == "metric"
         else oracles.utilitarian_distortion
     )
-    report = oracle(lot, p, completion_budget=args.completion_budget)
+    report = oracle(lot, p)
     if args.check_bruteforce:
         if args.world != "utilitarian":
             raise CliError(
@@ -269,9 +269,7 @@ def _sweep_worker(item: dict) -> tuple:
     if item["t"] is not None:
         p = truncate_profile(p, item["t"])
     started = time.perf_counter()
-    report = oracles.rule_distortion(
-        rule, p, item["world"], completion_budget=item["completion_budget"]
-    )
+    report = oracles.rule_distortion(rule, p, item["world"])
     elapsed_ms = int(round((time.perf_counter() - started) * 1000))
     return (
         item["label"],
@@ -341,7 +339,6 @@ def cmd_sweep(args) -> int:
                                 "seed": int(seed),
                                 "world": world,
                                 "timings": bool(args.timings),
-                                "completion_budget": args.completion_budget,
                             }
                         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -476,7 +473,9 @@ def _default_budget() -> int:
     try:
         return int(env)
     except ValueError:
-        return oracles.DEFAULT_ENUMERATION_BUDGET
+        raise CliError(
+            EXIT_BAD_PARAMS, f"DISTORTION_LAB_BUDGET must be an integer, got {env!r}"
+        )
 
 
 def _add_common(sub: argparse.ArgumentParser):
@@ -485,7 +484,8 @@ def _add_common(sub: argparse.ArgumentParser):
         "--budget",
         type=int,
         default=None,
-        help="enumeration budget (default: DISTORTION_LAB_BUDGET or 10^6)",
+        help="brute-force and exhaustive enumeration budget "
+        "(default: DISTORTION_LAB_BUDGET or 10^6)",
     )
     sub.add_argument("--seed", type=int, default=0, help="base random seed")
 
@@ -572,15 +572,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    explicit_budget = args.budget is not None
-    if not explicit_budget:
-        args.budget = _default_budget()
-    # An explicit --budget caps every enumeration, including ranking
-    # completions; otherwise completions keep their own smaller default.
-    args.completion_budget = (
-        args.budget if explicit_budget else oracles.DEFAULT_COMPLETION_BUDGET
-    )
     try:
+        if args.budget is None:
+            args.budget = _default_budget()
         return args.func(args)
     except CliError as exc:
         print(f"distortion-lab: {exc}", file=sys.stderr)

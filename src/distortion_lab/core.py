@@ -60,16 +60,9 @@ class Ranking:
     def __post_init__(self):
         object.__setattr__(self, "order", tuple(int(x) for x in self.order))
 
-    def position(self, alt: int) -> int:
-        """0-based position of ``alt`` (0 is the top choice)."""
-        return self.order.index(alt)
-
     def rank_of(self, alt: int) -> int:
         """1-based rank of ``alt``."""
         return self.order.index(alt) + 1
-
-    def prefers(self, x: int, y: int) -> bool:
-        return self.order.index(x) < self.order.index(y)
 
     def __len__(self) -> int:
         return len(self.order)
@@ -252,9 +245,6 @@ class MetricSpace:
     def agent_alt(self) -> np.ndarray:
         """(n, m) view of agent-to-alternative distances."""
         return self.dist[: self.n, self.n :]
-
-    def d(self, a: int, b: int) -> float:
-        return float(self.dist[a, b])
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,11 +42,12 @@ agent's consistency polytope (uniform mass on a rank prefix), at which the
 supremum is attained; it shares no code with the LP path and serves as an
 independent cross-check.
 
-Top-t profiles are handled by enumerating all ranking completions (budget
-gated) with the direct prefix-constraint program as a pre-pass; the two
-agree because a grid satisfies the prefix constraints exactly when it is
-consistent with some completion. Over budget, the direct program alone is
-used.
+Top-t profiles go through the same programs, with consistency rows taken
+from the prefixes (each ranked alternative above the next, the last ranked
+one above every unranked one). This is exact: a grid satisfies the prefix
+rows exactly when it is consistent with some completion of the ballots, so
+the prefix-consistent set is the union of the completion-consistent sets
+and its worst case is the maximum over completions.
 
 Deterministic throughout: candidates scan in ascending index order with
 strictly-greater updates, so ties resolve to the lowest index.
@@ -72,12 +73,10 @@ from .core import (
     TopTProfile,
     UtilityProfile,
     eval_distortion,
-    truncate_profile,
     _consistency_chain,
 )
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
-DEFAULT_COMPLETION_BUDGET = 10**5
 
 __all__ = [
     "DistortionReport",
@@ -88,7 +87,6 @@ __all__ = [
     "rule_distortion",
     "exhaustive_worst_case",
     "DEFAULT_ENUMERATION_BUDGET",
-    "DEFAULT_COMPLETION_BUDGET",
 ]
 
 
@@ -399,52 +397,6 @@ def _utilitarian_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionRep
 
 
 # ---------------------------------------------------------------------------
-# Top-t completions
-# ---------------------------------------------------------------------------
-
-
-def _completion_count(p: TopTProfile) -> int:
-    return math.factorial(p.m - p.t) ** p.n
-
-
-def _completions(p: TopTProfile) -> Iterator[Profile]:
-    """All full profiles extending each prefix, tails in lexicographic order."""
-    tail_choices = [
-        list(itertools.permutations(sorted(p.unranked(i)))) for i in range(p.n)
-    ]
-    for tails in itertools.product(*tail_choices):
-        rankings = tuple(
-            pre + tail for pre, tail in zip(p.prefixes, tails)
-        )
-        yield Profile(p.m, rankings)
-
-
-def _with_completions(
-    lot: Lottery,
-    p: TopTProfile,
-    direct: Callable[[Lottery, Profile | TopTProfile], DistortionReport],
-    completion_budget: int,
-) -> DistortionReport:
-    """Max over completions, with the direct prefix program as a pre-pass.
-
-    The direct program is exact on its own (the prefix constraint set is the
-    union of the completion constraint sets), so when the completion count
-    exceeds the budget its result is returned; within budget, both run and
-    the larger report is kept.
-    """
-    report = direct(lot, p)
-    if report.value.is_unbounded or _completion_count(p) > completion_budget:
-        return report
-    for full in _completions(p):
-        candidate = direct(lot, full)
-        if candidate.value.is_unbounded:
-            return candidate
-        if candidate.value.value > report.value.value + 1e-12:
-            report = candidate
-    return report
-
-
-# ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
 
@@ -454,29 +406,15 @@ def _check_dims(lot: Lottery, p: Profile | TopTProfile):
         raise ValueError(f"lottery over {lot.m} alternatives, profile has {p.m}")
 
 
-def metric_distortion(
-    lot: Lottery,
-    p: Profile | TopTProfile,
-    *,
-    completion_budget: int = DEFAULT_COMPLETION_BUDGET,
-) -> DistortionReport:
+def metric_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
     """Worst-case metric distortion of ``lot`` on profile ``p``."""
     _check_dims(lot, p)
-    if isinstance(p, TopTProfile):
-        return _with_completions(lot, p, _metric_report, completion_budget)
     return _metric_report(lot, p)
 
 
-def utilitarian_distortion(
-    lot: Lottery,
-    p: Profile | TopTProfile,
-    *,
-    completion_budget: int = DEFAULT_COMPLETION_BUDGET,
-) -> DistortionReport:
+def utilitarian_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
     """Worst-case utilitarian distortion of ``lot`` on profile ``p``."""
     _check_dims(lot, p)
-    if isinstance(p, TopTProfile):
-        return _with_completions(lot, p, _utilitarian_report, completion_budget)
     return _utilitarian_report(lot, p)
 
 
@@ -551,19 +489,13 @@ Rule = Callable[[Profile | TopTProfile], Lottery]
 _WORLDS = ("metric", "utilitarian")
 
 
-def rule_distortion(
-    rule: Rule,
-    p: Profile | TopTProfile,
-    world: str,
-    *,
-    completion_budget: int = DEFAULT_COMPLETION_BUDGET,
-) -> DistortionReport:
+def rule_distortion(rule: Rule, p: Profile | TopTProfile, world: str) -> DistortionReport:
     """Worst-case distortion of ``rule``'s lottery on ``p`` in one world."""
     if world not in _WORLDS:
         raise ValueError(f"world must be one of {_WORLDS}, got {world!r}")
     lot = rule(p)
     oracle = metric_distortion if world == "metric" else utilitarian_distortion
-    return oracle(lot, p, completion_budget=completion_budget)
+    return oracle(lot, p)
 
 
 def _all_profiles(n: int, m: int, t: int | None) -> Iterator[Profile | TopTProfile]:
@@ -585,7 +517,6 @@ def exhaustive_worst_case(
     t: int | None = None,
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    completion_budget: int = DEFAULT_COMPLETION_BUDGET,
 ) -> tuple[DistortionValue, Profile | TopTProfile]:
     """Worst case of a rule over every profile of the given shape.
 
@@ -605,9 +536,7 @@ def exhaustive_worst_case(
     best: DistortionValue | None = None
     witness: Profile | TopTProfile | None = None
     for profile in _all_profiles(n, m, t):
-        report = rule_distortion(
-            rule, profile, world, completion_budget=completion_budget
-        )
+        report = rule_distortion(rule, profile, world)
         if report.value.is_unbounded:
             return report.value, profile
         if best is None or report.value.value > best.value + 1e-12:

@@ -217,14 +217,9 @@ def truncated_harmonic(p: Profile, eps: float = 1.0) -> Lottery:
     if not (0.0 < eps < 6.0):
         raise ValueError(f"eps must lie strictly between 0 and 6, got {eps}")
     _, trace = plurality_veto(p)
-    h_m = harmonic_number(p.m)
-    rows = np.zeros((p.n, p.m))
-    for i, r in enumerate(p.rankings):
-        cut = r.order.index(trace.winner)
-        for rank0, y in enumerate(r.order[:cut]):
-            rows[i, y] = eps / (6.0 * h_m * (rank0 + 1))
-        rows[i, trace.winner] = 1.0 - rows[i].sum()
-    return Lottery(rows.mean(axis=0))
+    prob = (eps / 6.0) * truncated_weights(p, trace.winner).weights.mean(axis=0)
+    prob[trace.winner] += 1.0 - eps / 6.0
+    return Lottery(prob)
 
 
 BaseTopKRule = Callable[[tuple[tuple[int, ...], ...], int], int]

@@ -264,7 +264,7 @@ def _check_oracle_information_monotone():
         rng = np.random.default_rng(19_000 + case)
         n = int(rng.integers(1, 4))
         m = int(rng.integers(3, 5))
-        t = int(rng.integers(m - 2, m))  # m-2 or m-1 keeps completions tiny
+        t = int(rng.integers(m - 2, m))  # m-2 or m-1
         p = dl.random_profile(n, m, seed=19_000 + case)
         topt = dl.truncate_profile(p, t)
         rule = dl.plurality if case % 2 == 0 else dl.random_dictatorship

@@ -13,13 +13,20 @@ that decides unboundedness by the LP alone.
 Both return ``witness=None`` when a main program is unbounded. They are
 kept to cross-check the library's compact metric program and its
 combinatorial unboundedness tests on small shapes; they run on the direct
-ballot constraints (no completion enumeration).
+ballot constraints.
+
+``reference_completion_max`` is the top-t route the library replaced with
+its single prefix program: the worst case over every full profile that
+extends the prefixes, (m-t)!^n of them, each solved by a full-ranking
+oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -156,3 +163,32 @@ def reference_utilitarian_report(
         witness=UtilityProfile(grid),
         arg_optimum=best_x,
     )
+
+
+def _completions(p: TopTProfile) -> Iterator[Profile]:
+    """All full profiles extending each prefix, tails in lexicographic order."""
+    tail_choices = [
+        list(itertools.permutations(sorted(p.unranked(i)))) for i in range(p.n)
+    ]
+    for tails in itertools.product(*tail_choices):
+        yield Profile(p.m, tuple(pre + tail for pre, tail in zip(p.prefixes, tails)))
+
+
+def reference_completion_max(
+    oracle: Callable[[Lottery, Profile], DistortionReport],
+    lot: Lottery,
+    p: TopTProfile,
+) -> DistortionReport:
+    """Worst case over all completions of ``p``, each solved by ``oracle``.
+
+    The first unbounded completion is returned at once; otherwise the first
+    completion attaining the largest value.
+    """
+    best: DistortionReport | None = None
+    for full in _completions(p):
+        report = oracle(lot, full)
+        if report.value.is_unbounded:
+            return report
+        if best is None or report.value.value > best.value.value + 1e-12:
+            best = report
+    return best

@@ -190,6 +190,23 @@ class TestOracle:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("value", ["abc", "1e6"])
+    def test_env_budget_malformed(self, inst, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("DISTORTION_LAB_BUDGET", value)
+        code, out, err = run_cli(
+            ["reproduce", "--n", "2", "--m", "2", "--rules", "plurality",
+             "--output", str(tmp_path / "t.csv")]
+        )
+        assert code == 4 and out == ""
+        assert "DISTORTION_LAB_BUDGET" in err
+        assert not (tmp_path / "t.csv").exists()
+        # An explicit --budget wins, so the variable is not read.
+        code, _, _ = run_cli(
+            ["oracle", "--world", "utilitarian", "--rule", "plurality",
+             "--instance", str(inst), "--check-bruteforce", "--budget", "100"]
+        )
+        assert code == 0
+
 
 class TestSweep:
     CONFIG = {

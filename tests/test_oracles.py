@@ -1,13 +1,18 @@
 """Unit tests for the worst-case distortion oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import distortion_lab as dl
 from conftest import random_lottery
-from reference_oracles import reference_metric_report, reference_utilitarian_report
+from reference_oracles import (
+    reference_completion_max,
+    reference_metric_report,
+    reference_utilitarian_report,
+)
 from distortion_lab import (
     BudgetExceededError,
     Lottery,
@@ -57,7 +62,7 @@ class TestUtilitarianOracle:
         # alternative 3 outside the support may all be positive.
         p = TopTProfile(m=4, t=2, prefixes=((1, 0), (3, 2)))
         lot = Lottery.point_mass(4, 2)
-        rep = utilitarian_distortion(lot, p, completion_budget=0)
+        rep = utilitarian_distortion(lot, p)
         assert rep.value.is_unbounded
         assert rep.arg_optimum == 0
         assert np.allclose(rep.witness.util, [[1 / 3, 1 / 3, 0, 1 / 3], [0, 0, 0, 1]])
@@ -142,7 +147,7 @@ class TestMetricOracle:
     def test_unbounded_witness_on_prefix(self):
         p = TopTProfile(m=3, t=1, prefixes=((0,), (1,)))
         lot = Lottery(np.array([0.0, 0.0, 1.0]))
-        rep = metric_distortion(lot, p, completion_budget=0)
+        rep = metric_distortion(lot, p)
         assert rep.value.is_unbounded
         assert rep.arg_optimum == 0
         assert dl.is_metric_consistent(rep.witness, p)
@@ -205,7 +210,7 @@ class TestReferenceCrossCheck:
     def test_matches_reference(self, oracle, reference):
         mismatches = []
         for case, lot, p in _reference_cases(300):
-            got = oracle(lot, p, completion_budget=0)
+            got = oracle(lot, p)
             want = reference(lot, p)
             same = (
                 got.value.is_unbounded == want.value.is_unbounded
@@ -217,6 +222,53 @@ class TestReferenceCrossCheck:
             )
             if not same:
                 mismatches.append((case, got.value, want.value, got.arg_optimum, want.arg_optimum))
+        assert mismatches == []
+
+
+def _completion_cases(count: int, max_completions: int = 16):
+    """Seeded top-t cases: n <= 4, m <= 5, 1 <= t < m, varied lotteries.
+
+    t is drawn among the values below m-1 that leave at most
+    ``max_completions`` completions, (m-t)!^n; t = m-1, a single completion,
+    only when no such value exists.
+    """
+    for case in range(count):
+        rng = np.random.default_rng(43_000 + case)
+        n, m = int(rng.integers(1, 5)), int(rng.integers(2, 6))
+        ts = [
+            t for t in range(1, m - 1) if math.factorial(m - t) ** n <= max_completions
+        ] or [m - 1]
+        p = dl.truncate_profile(
+            dl.random_profile(n, m, seed=43_000 + case), int(rng.choice(ts))
+        )
+        if case % 3 == 0:
+            lot = Lottery.point_mass(m, int(rng.integers(m)))
+        elif case % 3 == 1:
+            lot = dl.random_dictatorship(p)
+        else:
+            lot = random_lottery(rng, m)  # about 30% zero-mass entries
+        yield case, lot, p
+
+
+class TestCompletionCrossCheck:
+    """The single prefix program against the maximum over all completions."""
+
+    @pytest.mark.parametrize(
+        "oracle", [metric_distortion, utilitarian_distortion], ids=["metric", "utilitarian"]
+    )
+    def test_matches_completion_max(self, oracle):
+        # arg_optimum is not compared: on ties the two routes may report
+        # different optimal alternatives.
+        mismatches = []
+        for case, lot, p in _completion_cases(300):
+            got = oracle(lot, p)
+            want = reference_completion_max(oracle, lot, p)
+            same = got.value.is_unbounded == want.value.is_unbounded and (
+                got.value.is_unbounded
+                or abs(got.value.value - want.value.value) <= 1e-6
+            )
+            if not same:
+                mismatches.append((case, got.value, want.value))
         assert mismatches == []
 
 
@@ -273,8 +325,7 @@ class TestTopTOracles:
         topt = dl.truncate_profile(dl.random_profile(3, 4, seed=7), 2)
         lot = dl.top_t_truncated_harmonic(topt)
         rep = metric_distortion(lot, topt)
-        if rep.witness is not None:
-            assert dl.is_metric_consistent(rep.witness, topt)
+        assert dl.is_metric_consistent(rep.witness, topt)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

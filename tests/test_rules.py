@@ -167,6 +167,26 @@ class TestTruncatedHarmonic:
                 anchor = plurality_veto(p)[1].winner
                 assert truncated_harmonic(p, eps).prob[anchor] >= 1 - eps / 6 - 1e-12
 
+    def test_matches_per_agent_loop(self):
+        # The per-agent formula the rule once computed directly: eps/(6 H_m r)
+        # above the veto winner, the remainder on it. The rule now scales the
+        # truncated weights instead, which reorders the float operations.
+        import distortion_lab as dl
+
+        for seed in range(40):
+            p = dl.random_profile(1 + seed % 7, 2 + seed % 5, seed=seed)
+            winner = plurality_veto(p)[1].winner
+            h_m = harmonic_number(p.m)
+            for eps in (1e-3, 0.5, 1.0, 2.0, 5.9):
+                rows = np.zeros((p.n, p.m))
+                for i, r in enumerate(p.rankings):
+                    cut = r.order.index(winner)
+                    for rank0, y in enumerate(r.order[:cut]):
+                        rows[i, y] = eps / (6.0 * h_m * (rank0 + 1))
+                    rows[i, winner] = 1.0 - rows[i].sum()
+                got = truncated_harmonic(p, eps).prob
+                assert np.allclose(got, rows.mean(axis=0), rtol=0, atol=4 * np.finfo(float).eps)
+
     def test_eps_range_enforced(self):
         for eps in (0.0, -1.0, 6.0, 7.2):
             with pytest.raises(ValueError):
