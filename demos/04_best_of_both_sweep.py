@@ -43,7 +43,7 @@ for rule in sorted({r["rule"] for r in rows}):
     print(f"{rule:24s} {met:12.3f} {utl:16.3f}")
 print()
 
-# The prefix-ballot rows are the interesting ones: top_t_th_eps1 keeps a
+# The prefix-ballot rows are the interesting ones: top_t_th keeps a
 # bounded metric ratio even though agents only reported 2 of 4 choices.
 topt = [r for r in rows if r["t"] == "2" and r["world"] == "metric"]
 print("prefix-ballot metric rows:")

@@ -4,16 +4,27 @@ Commands: ``run`` (apply a rule to an instance, print the lottery),
 ``oracle`` (worst-case distortion of a lottery or rule on an instance),
 ``sweep`` (grid of rules x instances x worlds to a deterministic CSV),
 ``reproduce`` (worst-case table over all or sampled profiles at one size)
-and ``generate`` (write generator output to instance files).
+and ``generate`` (write generator output to instance files). Each command
+declares only the flags it reads: ``--jobs`` on ``sweep``, ``--budget`` on
+``oracle`` and ``reproduce``, ``--seed`` on ``reproduce`` and ``generate``.
+
+``RULES`` is the one table of rule ids: each entry gives a factory, the
+ballot kinds it accepts and its declared parameters with their defaults
+and range checks. ``make_rule`` builds every rule the commands run, from
+``--rule`` and its flags or from a sweep config entry, and rejects an
+undeclared parameter. ``reproduce`` tabulates every entry that takes full
+rankings and needs no parameter.
 
 stdout carries only each command's primary output; diagnostics go to
-stderr. Exit codes: 0 success, 2 unknown rule, 3 invalid instance or
-config, 4 bad parameters, 5 brute-force disagreement, 6 budget exceeded.
-The enumeration budget caps the brute-force twin (``oracle
---check-bruteforce``) and exhaustive ``reproduce`` tables; top-t oracles
-solve one exact prefix program and need none. The environment variable
-``DISTORTION_LAB_BUDGET`` overrides the default budget (a non-integer value
-exits 4); an explicit ``--budget`` flag wins over both.
+stderr. Exit codes: 0 success, 2 unknown rule (or an argparse usage
+error), 3 invalid instance or config, 4 bad parameters (undeclared,
+missing or out of range, or a rule/ballot-kind mismatch), 5 brute-force
+disagreement, 6 budget exceeded. The enumeration budget caps the
+brute-force twin (``oracle --check-bruteforce``) and exhaustive
+``reproduce`` tables; top-t oracles solve one exact prefix program and
+need none. The environment variable ``DISTORTION_LAB_BUDGET`` overrides
+the default budget (a non-integer value exits 4 where a budget is read);
+an explicit ``--budget`` flag wins over both.
 """
 
 from __future__ import annotations
@@ -23,13 +34,14 @@ import concurrent.futures
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import instances, oracles, rules
-from .core import Profile, TopTProfile, truncate_profile
+from .core import Lottery, Profile, TopTProfile, truncate_profile
 from .instances import InstanceFormatError
 from .oracles import BudgetExceededError
 
@@ -40,28 +52,7 @@ EXIT_BAD_PARAMS = 4
 EXIT_BRUTEFORCE_MISMATCH = 5
 EXIT_BUDGET = 6
 
-RULE_IDS = (
-    "plurality",
-    "copeland",
-    "plurality_veto",
-    "ppv",
-    "random_dictatorship",
-    "harmonic",
-    "truncated_harmonic",
-    "top_t_det",
-    "top_t_th",
-    "mix",
-)
-
-REPRODUCE_RULES = (
-    "plurality",
-    "copeland",
-    "plurality_veto",
-    "ppv",
-    "random_dictatorship",
-    "harmonic",
-    "truncated_harmonic",
-)
+FULL, TOPT = frozenset(("full",)), frozenset(("topt",))
 
 
 class CliError(Exception):
@@ -70,97 +61,103 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class RuleSpec:
-    """A rule id plus parameters, picklable for worker processes."""
+def _number(requirement: str, ok: Callable[[float], bool]) -> Callable[[object], float]:
+    """A parameter parser: the value as a float, or ValueError unless ``ok``."""
 
-    rule_id: str
-    epsilon: float | None = None
-    beta: float | None = None
-    components: tuple[str, str] | None = None
+    def parse(value) -> float:
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = None
+        if number is None or not ok(number):
+            raise ValueError(f"needs {requirement}, got {value!r}")
+        return number
 
-
-def _accepts(spec: RuleSpec) -> frozenset[str]:
-    """Which profile kinds ('full', 'topt') a RuleSpec accepts."""
-    both = frozenset(("full", "topt"))
-    table = {
-        "plurality": both,
-        "random_dictatorship": both,
-        "copeland": frozenset(("full",)),
-        "plurality_veto": frozenset(("full",)),
-        "ppv": frozenset(("full",)),
-        "harmonic": frozenset(("full",)),
-        "truncated_harmonic": frozenset(("full",)),
-        "top_t_det": frozenset(("topt",)),
-        "top_t_th": frozenset(("topt",)),
-    }
-    if spec.rule_id != "mix":
-        return table[spec.rule_id]
-    first, second = spec.components
-    return _accepts(RuleSpec(first)) & _accepts(RuleSpec(second))
+    return parse
 
 
-def build_rule(spec: RuleSpec) -> oracles.Rule:
-    """Turn a RuleSpec into a callable Profile -> Lottery.
+def _components(value) -> list[str]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"needs two component rule ids, got {value!r}")
+    for rid in value:
+        _entry(rid)
+        if rid == "mix":
+            raise ValueError("cannot take mix as a component")
+    return value
 
-    Raises ``KeyError`` for an unknown id (exit 2 at the CLI boundary) and
-    ``ValueError`` for bad parameters (exit 4).
-    """
-    rid = spec.rule_id
-    if rid not in RULE_IDS:
-        raise KeyError(rid)
-    eps = 1.0 if spec.epsilon is None else float(spec.epsilon)
-    if rid == "plurality":
-        return rules.plurality
-    if rid == "copeland":
-        return rules.copeland
-    if rid == "plurality_veto":
-        return lambda p: rules.plurality_veto(p)[0]
-    if rid == "ppv":
-        if not eps > 0:
-            raise ValueError(f"ppv needs eps > 0, got {eps}")
-        return lambda p: rules.pruned_plurality_veto(p, eps)
-    if rid == "random_dictatorship":
-        return rules.random_dictatorship
-    if rid == "harmonic":
-        return rules.harmonic_rule
-    if rid == "truncated_harmonic":
-        if not (0.0 < eps < 6.0):
-            raise ValueError(f"truncated_harmonic needs 0 < eps < 6, got {eps}")
-        return lambda p: rules.truncated_harmonic(p, eps)
-    if rid == "top_t_det":
-        return rules.top_t_det_rule
-    if rid == "top_t_th":
-        return rules.top_t_truncated_harmonic
-    # mix
-    if spec.components is None or len(spec.components) != 2:
-        raise ValueError("mix needs exactly two component rule ids")
-    if spec.beta is None:
-        raise ValueError("mix needs --beta in [0, 1]")
-    if not (0.0 <= spec.beta <= 1.0):
-        raise ValueError(f"mix needs beta in [0, 1], got {spec.beta}")
-    first = build_rule(RuleSpec(spec.components[0]))
-    second = build_rule(RuleSpec(spec.components[1]))
-    beta = float(spec.beta)
+
+def _mix(beta: float, components: list[str]) -> oracles.Rule:
+    first, second = (make_rule(rid, {})[0] for rid in components)
     return lambda p: rules.mix(first(p), second(p), beta)
 
 
-def _spec_from_args(args) -> RuleSpec:
-    components = None
-    if getattr(args, "components", None):
-        parts = tuple(x.strip() for x in args.components.split(",") if x.strip())
-        if len(parts) != 2:
-            raise CliError(EXIT_BAD_PARAMS, "expected --components FIRST,SECOND")
-        for part in parts:
-            if part not in RULE_IDS:
-                raise CliError(EXIT_UNKNOWN_RULE, f"unknown rule {part!r}")
-        components = parts
-    return RuleSpec(
-        rule_id=args.rule,
-        epsilon=getattr(args, "epsilon", None),
-        beta=getattr(args, "beta", None),
-        components=components,
-    )
+class RuleEntry(NamedTuple):
+    factory: Callable[..., oracles.Rule]  # declared parameters -> Profile -> Lottery
+    kinds: frozenset[str]  # ballot kinds accepted: "full", "topt"
+    params: dict  # name -> (default, parser); a default of None marks it required
+
+
+RULES: dict[str, RuleEntry] = {
+    "plurality": RuleEntry(lambda: rules.plurality, FULL | TOPT, {}),
+    "copeland": RuleEntry(lambda: rules.copeland, FULL, {}),
+    "plurality_veto": RuleEntry(lambda: lambda p: rules.plurality_veto(p)[0], FULL, {}),
+    "ppv": RuleEntry(
+        lambda epsilon: lambda p: rules.pruned_plurality_veto(p, epsilon),
+        FULL,
+        {"epsilon": (1.0, _number("epsilon > 0", lambda e: e > 0))},
+    ),
+    "random_dictatorship": RuleEntry(lambda: rules.random_dictatorship, FULL | TOPT, {}),
+    "harmonic": RuleEntry(lambda: rules.harmonic_rule, FULL, {}),
+    "truncated_harmonic": RuleEntry(
+        lambda epsilon: lambda p: rules.truncated_harmonic(p, epsilon),
+        FULL,
+        {"epsilon": (1.0, _number("0 < epsilon < 6", lambda e: 0 < e < 6))},
+    ),
+    "top_t_det": RuleEntry(lambda: rules.top_t_det_rule, TOPT, {}),
+    "top_t_th": RuleEntry(lambda: rules.top_t_truncated_harmonic, TOPT, {}),
+    # A mix accepts the ballot kinds both of its components accept.
+    "mix": RuleEntry(
+        _mix,
+        FULL | TOPT,
+        {
+            "beta": (None, _number("beta in [0, 1]", lambda b: 0 <= b <= 1)),
+            "components": (None, _components),
+        },
+    ),
+}
+
+
+def _entry(rule_id) -> RuleEntry:
+    if not isinstance(rule_id, str) or rule_id not in RULES:
+        raise CliError(EXIT_UNKNOWN_RULE, f"unknown rule {rule_id!r}")
+    return RULES[rule_id]
+
+
+def make_rule(rule_id, params: dict) -> tuple[oracles.Rule, frozenset[str]]:
+    """The rule ``RULES[rule_id]`` builds from ``params``, and the ballot kinds it accepts.
+
+    Raises ``CliError``: exit 2 for an unknown id or mix component, exit 4
+    for an undeclared or missing parameter or a value out of range.
+    """
+    entry = _entry(rule_id)
+    for name in params:
+        if name not in entry.params:
+            declared = ", ".join(entry.params) or "none"
+            raise CliError(
+                EXIT_BAD_PARAMS,
+                f"rule {rule_id!r} takes no parameter {name!r} (declared: {declared})",
+            )
+    values = {}
+    for name, (default, parse) in entry.params.items():
+        value = params.get(name, default)
+        if value is None:
+            raise CliError(EXIT_BAD_PARAMS, f"rule {rule_id!r} needs {name!r}")
+        try:
+            values[name] = parse(value)
+        except ValueError as exc:
+            raise CliError(EXIT_BAD_PARAMS, f"rule {rule_id!r} {exc}")
+    kinds = entry.kinds.intersection(*(RULES[c].kinds for c in values.get("components", ())))
+    return entry.factory(**values), kinds
 
 
 def _load_instance(path) -> Profile | TopTProfile:
@@ -170,20 +167,36 @@ def _load_instance(path) -> Profile | TopTProfile:
         raise CliError(EXIT_BAD_INSTANCE, str(exc))
 
 
-def _build_rule_checked(spec: RuleSpec, p: Profile | TopTProfile) -> oracles.Rule:
+def _apply_rule(args, p: Profile | TopTProfile) -> Lottery:
+    """The lottery of ``--rule`` and its parameter flags on ``p``."""
+    params = {
+        name: getattr(args, name)
+        for name in ("epsilon", "beta", "components")
+        if getattr(args, name) is not None
+    }
+    rule, kinds = make_rule(args.rule, params)
+    kind = "topt" if isinstance(p, TopTProfile) else "full"
+    if kind not in kinds:
+        raise CliError(EXIT_BAD_PARAMS, f"rule {args.rule!r} does not accept {kind} profiles")
     try:
-        rule = build_rule(spec)
-    except KeyError as exc:
-        raise CliError(EXIT_UNKNOWN_RULE, f"unknown rule {exc.args[0]!r}")
+        return rule(p)
     except ValueError as exc:
         raise CliError(EXIT_BAD_PARAMS, str(exc))
-    kind = "topt" if isinstance(p, TopTProfile) else "full"
-    if kind not in _accepts(spec):
+
+
+def _budget(args) -> int:
+    """``--budget``, else ``DISTORTION_LAB_BUDGET``, else the library default."""
+    if args.budget is not None:
+        return args.budget
+    env = os.environ.get("DISTORTION_LAB_BUDGET")
+    if env is None:
+        return oracles.DEFAULT_ENUMERATION_BUDGET
+    try:
+        return int(env)
+    except ValueError:
         raise CliError(
-            EXIT_BAD_PARAMS,
-            f"rule {spec.rule_id!r} does not accept {kind} profiles",
+            EXIT_BAD_PARAMS, f"DISTORTION_LAB_BUDGET must be an integer, got {env!r}"
         )
-    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +205,7 @@ def _build_rule_checked(spec: RuleSpec, p: Profile | TopTProfile) -> oracles.Rul
 
 
 def cmd_run(args) -> int:
-    p = _load_instance(args.instance)
-    rule = _build_rule_checked(_spec_from_args(args), p)
-    try:
-        lot = rule(p)
-    except ValueError as exc:
-        raise CliError(EXIT_BAD_PARAMS, str(exc))
+    lot = _apply_rule(args, _load_instance(args.instance))
     print(json.dumps({"prob": lot.prob.tolist()}))
     return EXIT_OK
 
@@ -217,17 +225,7 @@ def cmd_oracle(args) -> int:
                 f"lottery over {lot.m} alternatives, instance has {p.m}",
             )
     else:
-        rule = _build_rule_checked(_spec_from_args(args), p)
-        try:
-            lot = rule(p)
-        except ValueError as exc:
-            raise CliError(EXIT_BAD_PARAMS, str(exc))
-    oracle = (
-        oracles.metric_distortion
-        if args.world == "metric"
-        else oracles.utilitarian_distortion
-    )
-    report = oracle(lot, p)
+        lot = _apply_rule(args, p)
     if args.check_bruteforce:
         if args.world != "utilitarian":
             raise CliError(
@@ -237,8 +235,16 @@ def cmd_oracle(args) -> int:
             raise CliError(
                 EXIT_BAD_PARAMS, "--check-bruteforce needs full rankings"
             )
+        budget = _budget(args)
+    oracle = (
+        oracles.metric_distortion
+        if args.world == "metric"
+        else oracles.utilitarian_distortion
+    )
+    report = oracle(lot, p)
+    if args.check_bruteforce:
         try:
-            twin = oracles.utilitarian_distortion_bruteforce(lot, p, budget=args.budget)
+            twin = oracles.utilitarian_distortion_bruteforce(lot, p, budget=budget)
         except BudgetExceededError as exc:
             raise CliError(EXIT_BUDGET, str(exc))
         agree = (
@@ -261,8 +267,8 @@ def cmd_oracle(args) -> int:
 
 def _sweep_worker(item: dict) -> tuple:
     """One sweep cell; module-level so worker processes can unpickle it."""
-    spec = RuleSpec(**item["spec"])
-    rule = build_rule(spec)
+    params = dict(item["rule"])
+    rule, _ = make_rule(params.pop("id"), params)
     p: Profile | TopTProfile = instances.random_profile(
         item["n"], item["m"], item["seed"]
     )
@@ -286,9 +292,11 @@ def _sweep_worker(item: dict) -> tuple:
 
 def _parse_sweep_config(path) -> dict:
     data = instances._read_json(path)
-    for field in ("rules", "grid", "seeds", "worlds"):
-        if field not in data:
-            raise InstanceFormatError(f"{path}: missing field {field!r}")
+    instances._expect_fields(path, data, ("rules", "grid", "seeds", "worlds"))
+    for cell in data["grid"]:
+        if not isinstance(cell, dict):
+            raise InstanceFormatError(f"{path}: grid cell {cell!r} is not an object")
+        instances._expect_fields(path, cell, ("n", "m"), ("t",))
     for world in data["worlds"]:
         if world not in ("metric", "utilitarian"):
             raise InstanceFormatError(f"{path}: unknown world {world!r}")
@@ -296,27 +304,16 @@ def _parse_sweep_config(path) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        config = _parse_sweep_config(args.config)
-    except InstanceFormatError as exc:
-        raise CliError(EXIT_BAD_INSTANCE, str(exc))
-
     items = []
     try:
+        config = _parse_sweep_config(args.config)
         for entry in config["rules"]:
-            if isinstance(entry, str):
-                entry = {"id": entry}
-            spec = RuleSpec(
-                rule_id=entry["id"],
-                epsilon=entry.get("epsilon"),
-                beta=entry.get("beta"),
-                components=tuple(entry["components"]) if "components" in entry else None,
-            )
-            if spec.rule_id not in RULE_IDS:
-                raise CliError(EXIT_UNKNOWN_RULE, f"unknown rule {spec.rule_id!r}")
-            build_rule(spec)  # validate parameters up front
-            label = entry.get("label", spec.rule_id)
-            accepts = _accepts(spec)
+            params = {"id": entry} if isinstance(entry, str) else {**entry}
+            rule_id = params.pop("id")
+            label = params.pop("label", rule_id)
+            if not isinstance(label, str):
+                raise InstanceFormatError(f"{args.config}: label {label!r} is not a string")
+            _, accepts = make_rule(rule_id, params)  # validate up front
             for cell in config["grid"]:
                 t = cell.get("t")
                 kind = "full" if t is None else "topt"
@@ -331,7 +328,7 @@ def cmd_sweep(args) -> int:
                     for world in config["worlds"]:
                         items.append(
                             {
-                                "spec": spec.__dict__,
+                                "rule": {"id": rule_id, **params},
                                 "label": label,
                                 "n": int(cell["n"]),
                                 "m": int(cell["m"]),
@@ -341,6 +338,8 @@ def cmd_sweep(args) -> int:
                                 "timings": bool(args.timings),
                             }
                         )
+    except InstanceFormatError:
+        raise  # already names the file and the fault; exits 3
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_BAD_INSTANCE, f"malformed sweep config: {exc!r}")
 
@@ -367,34 +366,39 @@ def cmd_reproduce(args) -> int:
     n, m = args.n, args.m
     if n < 1 or m < 1:
         raise CliError(EXIT_BAD_PARAMS, f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    wanted = REPRODUCE_RULES
+    # Every rule that takes full rankings and needs no parameter.
+    reproducible = tuple(
+        rid
+        for rid, entry in RULES.items()
+        if "full" in entry.kinds and all(d is not None for d, _ in entry.params.values())
+    )
+    wanted = reproducible
     if args.rules:
         wanted = tuple(x.strip() for x in args.rules.split(",") if x.strip())
         for rid in wanted:
-            if rid not in REPRODUCE_RULES:
+            if rid not in reproducible:
                 raise CliError(
                     EXIT_UNKNOWN_RULE,
-                    f"unknown rule {rid!r} (reproducible: {', '.join(REPRODUCE_RULES)})",
+                    f"unknown rule {rid!r} (reproducible: {', '.join(reproducible)})",
                 )
 
-    import math as _math
-
-    exhaustive = _math.factorial(m) ** n <= args.budget
+    budget = _budget(args)
+    exhaustive = math.factorial(m) ** n <= budget
     if not exhaustive and args.sample is None:
         raise CliError(
             EXIT_BUDGET,
-            f"{_math.factorial(m) ** n} profiles exceed the budget of {args.budget}; "
+            f"{math.factorial(m) ** n} profiles exceed the budget of {budget}; "
             "pass --sample K to sample instead",
         )
 
     table: list[tuple[str, str, str]] = []
     for rid in wanted:
-        rule = build_rule(RuleSpec(rid))
+        rule, _ = make_rule(rid, {})
         row = [rid]
         for world in ("metric", "utilitarian"):
             if exhaustive:
                 value, _ = oracles.exhaustive_worst_case(
-                    rule, n, m, world, budget=args.budget
+                    rule, n, m, world, budget=budget
                 )
             else:
                 worst = None
@@ -466,35 +470,19 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _default_budget() -> int:
-    env = os.environ.get("DISTORTION_LAB_BUDGET")
-    if env is None:
-        return oracles.DEFAULT_ENUMERATION_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise CliError(
-            EXIT_BAD_PARAMS, f"DISTORTION_LAB_BUDGET must be an integer, got {env!r}"
-        )
-
-
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    sub.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="brute-force and exhaustive enumeration budget "
-        "(default: DISTORTION_LAB_BUDGET or 10^6)",
-    )
-    sub.add_argument("--seed", type=int, default=0, help="base random seed")
+BUDGET_HELP = (
+    "brute-force and exhaustive enumeration budget (default: DISTORTION_LAB_BUDGET or 10^6)"
+)
 
 
 def _add_rule_params(sub: argparse.ArgumentParser):
     sub.add_argument("--epsilon", type=float, default=None, help="rule parameter eps")
     sub.add_argument("--beta", type=float, default=None, help="mix weight in [0, 1]")
     sub.add_argument(
-        "--components", default=None, help="two component rule ids for mix, comma-separated"
+        "--components",
+        type=lambda s: [x.strip() for x in s.split(",") if x.strip()],
+        default=None,
+        help="two component rule ids for mix, comma-separated",
     )
 
 
@@ -509,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--rule", required=True)
     run.add_argument("--instance", required=True)
     _add_rule_params(run)
-    _add_common(run)
     run.set_defaults(func=cmd_run)
 
     oracle = subs.add_parser("oracle", help="worst-case distortion of a lottery")
@@ -522,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-validate against the enumeration twin (utilitarian, full profiles)",
     )
+    oracle.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
     _add_rule_params(oracle)
-    _add_common(oracle)
     oracle.set_defaults(func=cmd_oracle)
 
     sweep = subs.add_parser("sweep", help="rules x instances x worlds to CSV")
@@ -534,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="record wall-clock runtime_ms (off by default to keep output byte-deterministic)",
     )
-    _add_common(sweep)
+    sweep.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     sweep.set_defaults(func=cmd_sweep)
 
     reproduce = subs.add_parser(
@@ -549,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument(
         "--rules", default=None, help="comma-separated subset of rules to tabulate"
     )
-    _add_common(reproduce)
+    reproduce.add_argument("--budget", type=int, default=None, help=BUDGET_HELP)
+    reproduce.add_argument("--seed", type=int, default=0, help="base seed for --sample")
     reproduce.set_defaults(func=cmd_reproduce)
 
     generate = subs.add_parser("generate", help="write generator output to files")
@@ -560,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--m", type=int, default=None)
     generate.add_argument("--t", type=int, default=None)
     generate.add_argument("--dm", type=float, default=2.0, help="target ratio for thm53")
-    _add_common(generate)
+    generate.add_argument("--seed", type=int, default=0, help="seed for --kind random")
     generate.set_defaults(func=cmd_generate)
 
     return parser
@@ -573,8 +561,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if args.budget is None:
-            args.budget = _default_budget()
         return args.func(args)
     except CliError as exc:
         print(f"distortion-lab: {exc}", file=sys.stderr)

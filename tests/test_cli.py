@@ -5,6 +5,7 @@ exit codes and stream purity are asserted without spawning anything
 (the sweep ``--jobs`` path still exercises real worker processes).
 """
 
+import argparse
 import contextlib
 import csv
 import io
@@ -91,6 +92,25 @@ class TestRun:
              "--beta", "0.5", "--instance", str(inst)]
         )
         assert code == 2
+
+    def test_undeclared_parameter(self, inst):
+        code, out, err = run_cli(
+            ["run", "--rule", "plurality", "--epsilon", "3", "--instance", str(inst)]
+        )
+        assert code == 4 and out == ""
+        assert "'epsilon'" in err
+        code, out, _ = run_cli(
+            ["run", "--rule", "mix", "--components", "plurality,harmonic",
+             "--beta", "0.5", "--epsilon", "5", "--instance", str(inst)]
+        )
+        assert code == 4 and out == ""
+
+    def test_mix_rejects_mix_component(self, inst):
+        code, _, _ = run_cli(
+            ["run", "--rule", "mix", "--components", "plurality,mix",
+             "--beta", "0.5", "--instance", str(inst)]
+        )
+        assert code == 4
 
 
 class TestOracle:
@@ -207,6 +227,25 @@ class TestOracle:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["run", "oracle", "sweep", "generate"])
+    def test_env_budget_malformed_unread(self, inst, tmp_path, monkeypatch, command):
+        # Only reproduce and oracle --check-bruteforce read a budget.
+        monkeypatch.setenv("DISTORTION_LAB_BUDGET", "abc")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"rules": ["plurality"], "grid": [{"n": 2, "m": 2}], "seeds": [0], "worlds": ["metric"]}
+        ))
+        argv = {
+            "run": ["run", "--rule", "plurality", "--instance", str(inst)],
+            "oracle": ["oracle", "--world", "utilitarian", "--rule", "plurality",
+                       "--instance", str(inst)],
+            "sweep": ["sweep", "--config", str(cfg), "--output", str(tmp_path / "o.csv")],
+            "generate": ["generate", "--kind", "random", "--n", "2", "--m", "2",
+                         "--out", str(tmp_path / "g.json")],
+        }[command]
+        code, _, err = run_cli(argv)
+        assert code == 0, err
+
 
 class TestSweep:
     CONFIG = {
@@ -255,6 +294,59 @@ class TestSweep:
             ["sweep", "--config", str(cfg), "--output", str(tmp_path / "o.csv")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "entry, expected",
+        [
+            ({"id": "mix", "components": ["plurality", "zebra"], "beta": 0.5}, 2),
+            ({"id": "ppv", "epsilon": -4}, 4),
+            ({"id": "ppv", "epsilon": "abc"}, 4),
+            ({"id": "top_t_th", "epsilon": 1.0}, 4),
+            ({"id": "mix", "components": ["plurality", "harmonic"]}, 4),
+        ],
+    )
+    def test_rule_entry_faults_match_run(self, tmp_path, entry, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, rules=["plurality", entry])))
+        out_csv = tmp_path / "o.csv"
+        code, out, _ = run_cli(["sweep", "--config", str(cfg), "--output", str(out_csv)])
+        assert code == expected and out == ""
+        assert not out_csv.exists()
+
+    def test_unknown_grid_key(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, grid=[{"n": 3, "m": 4, "T": 2}])))
+        code, _, err = run_cli(
+            ["sweep", "--config", str(cfg), "--output", str(tmp_path / "o.csv")]
+        )
+        assert code == 3
+        assert "'T'" in err
+
+    def test_grid_cell_not_an_object(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, grid=[[3, 3]])))
+        code, _, _ = run_cli(
+            ["sweep", "--config", str(cfg), "--output", str(tmp_path / "o.csv")]
+        )
+        assert code == 3
+
+    def test_label_not_a_string(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        rules = ["plurality", {"id": "random_dictatorship", "label": 5}]
+        cfg.write_text(json.dumps(dict(self.CONFIG, rules=rules)))
+        code, out, _ = run_cli(
+            ["sweep", "--config", str(cfg), "--output", str(tmp_path / "o.csv")]
+        )
+        assert code == 3 and out == ""
+
+    def test_unknown_top_level_key(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, seed=3)))
+        code, _, err = run_cli(
+            ["sweep", "--config", str(cfg), "--output", str(tmp_path / "o.csv")]
+        )
+        assert code == 3
+        assert "'seed'" in err
 
     def test_jobs_do_not_change_bytes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -360,3 +452,76 @@ class TestGenerate:
              "--out", str(tmp_path / "x.json")]
         )
         assert code == 4
+
+
+class TestRuleTable:
+    # The library call each rule id stands for, at the library's default
+    # parameters; mix needs its two required parameters.
+    LIBRARY = {
+        "plurality": ([], dl.plurality),
+        "copeland": ([], dl.copeland),
+        "plurality_veto": ([], lambda p: dl.plurality_veto(p)[0]),
+        "ppv": ([], dl.pruned_plurality_veto),
+        "random_dictatorship": ([], dl.random_dictatorship),
+        "harmonic": ([], dl.harmonic_rule),
+        "truncated_harmonic": ([], dl.truncated_harmonic),
+        "top_t_det": ([], dl.top_t_det_rule),
+        "top_t_th": ([], dl.top_t_truncated_harmonic),
+        "mix": (
+            ["--components", "plurality,random_dictatorship", "--beta", "0.25"],
+            lambda p: dl.mix(dl.plurality(p), dl.random_dictatorship(p), 0.25),
+        ),
+    }
+
+    # The flags each subcommand reads, and no others.
+    FLAGS = {
+        "run": {"--rule", "--instance", "--epsilon", "--beta", "--components"},
+        "oracle": {"--world", "--instance", "--lottery", "--rule", "--check-bruteforce",
+                   "--budget", "--epsilon", "--beta", "--components"},
+        "sweep": {"--config", "--output", "--timings", "--jobs"},
+        "reproduce": {"--n", "--m", "--output", "--sample", "--rules", "--budget", "--seed"},
+        "generate": {"--kind", "--out", "--metric-out", "--n", "--m", "--t", "--dm", "--seed"},
+    }
+
+    def test_every_rule_is_covered(self):
+        assert set(self.LIBRARY) == set(cli.RULES)
+
+    @pytest.mark.parametrize("rule_id", sorted(cli.RULES))
+    @pytest.mark.parametrize("kind", ["full", "topt"])
+    def test_run_matches_library(self, inst, topt_inst, rule_id, kind):
+        path = inst if kind == "full" else topt_inst
+        extra, library = self.LIBRARY[rule_id]
+        code, out, err = run_cli(["run", "--rule", rule_id, "--instance", str(path)] + extra)
+        if kind in cli.RULES[rule_id].kinds:
+            assert code == 0, err
+            expected = library(dl.load_instance(path)).prob.tolist()
+            assert json.loads(out)["prob"] == expected
+        else:
+            assert code == 4 and out == ""
+            assert "does not accept" in err
+
+    def test_reproduce_default_rules(self, tmp_path):
+        out_csv = tmp_path / "table.csv"
+        code, _, err = run_cli(["reproduce", "--n", "1", "--m", "2", "--output", str(out_csv)])
+        assert code == 0, err
+        rows = list(csv.reader(out_csv.read_text().splitlines()))[1:]
+        assert [r[0] for r in rows] == [
+            "plurality", "copeland", "plurality_veto", "ppv",
+            "random_dictatorship", "harmonic", "truncated_harmonic",
+        ]
+
+    def test_each_command_declares_only_the_flags_it_reads(self):
+        parser = cli.build_parser()
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(subs.choices) == set(self.FLAGS)
+        for name, sub in subs.choices.items():
+            flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+            assert flags == self.FLAGS[name], name
+        assert sum(len(f) for f in self.FLAGS.values()) == 33
+
+    def test_unread_flag_is_a_usage_error(self, inst):
+        code, out, _ = run_cli(
+            ["oracle", "--world", "metric", "--rule", "plurality",
+             "--instance", str(inst), "--jobs", "8"]
+        )
+        assert code == 2 and out == ""
