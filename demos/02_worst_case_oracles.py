@@ -3,7 +3,8 @@
 
 A lottery's distortion is a supremum over every cardinal instance that
 could have produced the observed ballots.  The oracles solve that
-supremum exactly with LPs and return a *witness* instance achieving it,
+supremum exactly (LPs for metrics, a per-agent choice of vertices for
+utilities) and return a *witness* instance achieving it,
 so you never have to trust the optimizer: re-evaluate the witness and
 the number comes back.
 """
@@ -41,8 +42,8 @@ print()
 # ---- utilitarian world: adversary picks unit-sum utilities ----
 rep_u = dl.utilitarian_distortion(lot, profile)
 bf = dl.utilitarian_distortion_bruteforce(lot, profile)
-print("utilitarian distortion, LP route:         ", rep_u.value)
-print("utilitarian distortion, enumeration route:", bf.value)
+print("utilitarian distortion, vertex-choice route:", rep_u.value)
+print("utilitarian distortion, enumeration route:  ", bf.value)
 print("witness utilities:\n", rep_u.witness.util)
 print()
 

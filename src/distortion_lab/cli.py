@@ -256,7 +256,7 @@ def cmd_oracle(args) -> int:
         )
         if not agree:
             print(
-                f"brute-force disagreement: lp={report.value} bruteforce={twin.value}",
+                f"brute-force disagreement: oracle={report.value} bruteforce={twin.value}",
                 file=sys.stderr,
             )
             return EXIT_BRUTEFORCE_MISMATCH
@@ -297,6 +297,15 @@ def _parse_sweep_config(path) -> dict:
         if not isinstance(cell, dict):
             raise InstanceFormatError(f"{path}: grid cell {cell!r} is not an object")
         instances._expect_fields(path, cell, ("n", "m"), ("t",))
+        # type() is int, not isinstance: JSON true and false are not sizes.
+        n, m, t = cell["n"], cell["m"], cell.get("t", 1)
+        if not (all(type(x) is int for x in (n, m, t)) and n >= 1 and 1 <= t <= m):
+            raise InstanceFormatError(
+                f"{path}: grid cell {cell!r} needs integers n >= 1, m >= 1 and 1 <= t <= m"
+            )
+    for seed in data["seeds"]:
+        if type(seed) is not int or seed < 0:
+            raise InstanceFormatError(f"{path}: seed {seed!r} is not an integer >= 0")
     for world in data["worlds"]:
         if world not in ("metric", "utilitarian"):
             raise InstanceFormatError(f"{path}: unknown world {world!r}")
@@ -330,10 +339,10 @@ def cmd_sweep(args) -> int:
                             {
                                 "rule": {"id": rule_id, **params},
                                 "label": label,
-                                "n": int(cell["n"]),
-                                "m": int(cell["m"]),
-                                "t": None if t is None else int(t),
-                                "seed": int(seed),
+                                "n": cell["n"],
+                                "m": cell["m"],
+                                "t": t,
+                                "seed": seed,
                                 "world": world,
                                 "timings": bool(args.timings),
                             }
@@ -366,6 +375,8 @@ def cmd_reproduce(args) -> int:
     n, m = args.n, args.m
     if n < 1 or m < 1:
         raise CliError(EXIT_BAD_PARAMS, f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    if args.sample is not None and args.sample < 1:
+        raise CliError(EXIT_BAD_PARAMS, f"--sample needs K >= 1, got {args.sample}")
     # Every rule that takes full rankings and needs no parameter.
     reproducible = tuple(
         rid

@@ -3,8 +3,9 @@
 Given a lottery and a ballot profile, these oracles compute the supremum of
 the lottery's distortion over every cardinal instance consistent with the
 ballots, exactly. Each one first decides unboundedness combinatorially and
-only then solves linear programs, so every answer, finite or unbounded,
-comes with a concrete witness instance.
+only then searches for the finite worst case (linear programs in the metric
+world, a choice of vertices in the utilitarian one), so every answer, finite
+or unbounded, comes with a concrete witness instance.
 
 * Metric world. For a candidate optimum X*, let Z(X*) be the closure of
   {X*} under "some agent's ballot puts b directly above w, with w in Z":
@@ -31,23 +32,24 @@ comes with a concrete witness instance.
   is in the lottery's support: only then can every agent put zero utility
   on the whole support. The witness spreads each agent's utility uniformly
   over the alternatives that may be positive while the support gets 0.
-  Otherwise the ratio of best welfare to expected welfare, which is
-  linear-fractional in the unit-sum utilities, is homogenized the standard
-  way: scaled utilities v = s*u with every agent row summing to the scale
-  variable s and the expected welfare pinned to one, maximizing the
-  welfare of each candidate X*.
+  Otherwise Dinkelbach's iteration maximizes, per candidate X*, the welfare
+  of X* over the expected welfare. For a fixed ratio guess lambda the
+  objective sum_i (u_i(X*) - lambda * p.u_i) splits by agent and is linear
+  on each agent's consistency polytope, so each agent takes its best
+  vertex: uniform mass on the top k of its ballot, or on its whole prefix
+  plus the unranked alternatives of largest gain [y = X*] - lambda * p_y.
+  lambda becomes that combination's ratio until it stops rising; the final
+  combination is the witness.
 
-A brute-force twin for the utilitarian world enumerates the vertices of each
-agent's consistency polytope (uniform mass on a rank prefix), at which the
-supremum is attained; it shares no code with the LP path and serves as an
-independent cross-check.
+A brute-force twin for full ballots scans all m^n combinations of the same
+vertices, checking the per-agent choice against the whole product.
 
-Top-t profiles go through the same programs, with consistency rows taken
-from the prefixes (each ranked alternative above the next, the last ranked
-one above every unranked one). This is exact: a grid satisfies the prefix
-rows exactly when it is consistent with some completion of the ballots, so
-the prefix-consistent set is the union of the completion-consistent sets
-and its worst case is the maximum over completions.
+Top-t profiles go through the same oracles on the prefix constraints (each
+ranked alternative above the next, the last ranked one above every unranked
+one): as LP rows in the metric world, as the vertices above in the
+utilitarian one. This is exact: a grid meets the prefix constraints exactly
+when it is consistent with some completion of the ballots, so the worst
+case is the maximum over completions.
 
 Deterministic throughout: candidates scan in ascending index order with
 strictly-greater updates, so ties resolve to the lowest index.
@@ -317,81 +319,53 @@ def _utilitarian_unbounded(
     )
 
 
-def _utilitarian_program(
-    lot: Lottery, p: Profile | TopTProfile
-) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-    """Constraints of the homogenized program over v = s*u, as (lhs, relations, rhs).
-
-    Agent rows sum to the trailing scale variable s, utilities are monotone
-    along each ballot, and the expected welfare is pinned to 1.
-    """
-    n, m = p.n, p.m
-    nv = n * m + 1  # trailing variable is the scale s
-    s_col = n * m
-
-    rows = []
-    rhs = []
-    rel = []
-    for i in range(n):
-        row = np.zeros(nv)
-        row[i * m : (i + 1) * m] = 1.0
-        row[s_col] = -1.0
-        rows.append(row)
-        rel.append("=")
-        rhs.append(0.0)
-    for i in range(n):
-        for better, worse in _consistency_chain(p, i):
-            row = np.zeros(nv)
-            row[i * m + worse] = 1.0
-            row[i * m + better] = -1.0
-            rows.append(row)
-            rel.append("<=")
-            rhs.append(0.0)
-    denom = np.zeros(nv)
-    denom[:s_col] = np.tile(lot.prob, n)
-    rows.append(denom)
-    rel.append("=")
-    rhs.append(1.0)
-    return np.asarray(rows), tuple(rel), np.asarray(rhs)
-
-
 def _utilitarian_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
     """Worst case over unit-sum utility profiles consistent with the ballots.
 
-    After the support test, maximizes the welfare of each candidate optimum
-    in the homogenized program; the test guarantees the program is bounded.
+    Dinkelbach's iteration (module docstring) per x* from lambda = 0, until
+    lambda rises by at most a relative 1e-12. A vertex is uniform on the
+    first k of the ballot followed by the unranked alternatives by gain
+    (ties by index), ties between vertices going to the smallest k. Every
+    vertex holds the agent's top choice, so after the support test the
+    expected welfare is positive; at lambda = 0 every best vertex holds x*,
+    so the first ratio is positive and the loop keeps a combination.
     """
     unbounded = _utilitarian_unbounded(lot, p)
     if unbounded is not None:
         return unbounded
     n, m = p.n, p.m
-    s_col = n * m
-    a, rel, rhs = _utilitarian_program(lot, p)
+    if isinstance(p, TopTProfile):
+        ballots = [(p.prefixes[i], p.unranked(i)) for i in range(n)]
+    else:
+        ballots = [(r.order, ()) for r in p.rankings]
+    sizes = np.arange(1, m + 1)
 
     best_value = -math.inf
-    best_assignment: np.ndarray | None = None
+    best_util: np.ndarray | None = None
     best_x = 0
     for x_star in range(m):
-        objective = np.zeros(s_col + 1)
-        objective[x_star:s_col:m] = 1.0
-        out = lp.solve(lp.LinearProgram(objective=objective, lhs=a, relations=rel, rhs=rhs))
-        if out.status != lp.OPTIMAL:
-            raise RuntimeError(
-                f"utilitarian program for x*={x_star} returned {out.status} "
-                "after the support test found the distortion bounded"
-            )
-        if out.value > best_value + 1e-12:
-            best_value = out.value
-            best_assignment = out.assignment
+        lam, util = 0.0, None
+        while True:
+            gain = -lam * lot.prob
+            gain[x_star] += 1.0
+            vertices = np.zeros((n, m))
+            for i, (ranked, unranked) in enumerate(ballots):
+                order = list(ranked) + sorted(unranked, key=lambda y: -gain[y])
+                k = int(np.argmax(np.cumsum(gain[order]) / sizes)) + 1
+                vertices[i, order[:k]] = 1.0 / k
+            welfare = vertices.sum(axis=0)
+            ratio = float(welfare[x_star]) / float(lot.prob @ welfare)
+            if ratio <= lam * (1.0 + 1e-12):
+                break
+            lam, util = ratio, vertices
+        if lam > best_value + 1e-12:
+            best_value = lam
+            best_util = util
             best_x = x_star
 
-    s = best_assignment[s_col]
-    grid = best_assignment[:s_col].reshape(n, m) / s
-    grid = np.clip(grid, 0.0, None)
-    grid /= grid.sum(axis=1, keepdims=True)
     return DistortionReport(
         value=DistortionValue.finite(max(best_value, 1.0)),
-        witness=UtilityProfile(grid),
+        witness=UtilityProfile(best_util),
         arg_optimum=best_x,
     )
 
@@ -429,7 +403,8 @@ def utilitarian_distortion_bruteforce(
     Each agent's consistent unit-sum utilities form a polytope whose vertices
     put mass 1/k on their top k alternatives; a ratio of linear functions is
     maximized at a vertex of the product, so scanning all m^n combinations is
-    exact. Independent of the LP route by construction.
+    exact. ``utilitarian_distortion`` chooses among the same vertices agent
+    by agent, so this twin checks that choice against the full enumeration.
     """
     _check_dims(lot, p)
     if isinstance(p, TopTProfile):

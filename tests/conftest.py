@@ -82,7 +82,7 @@ def consistent_utilities(rng: np.random.Generator, p) -> UtilityProfile:
 # ---------------------------------------------------------------------------
 
 _CRITERIA_TITLES = {
-    1: "LP and enumeration utilitarian oracles agree within 1e-6",
+    1: "vertex-choice and enumeration utilitarian oracles agree within 1e-6",
     2: "plurality-veto metric distortion <= 3 + 1e-6",
     3: "pruned plurality-veto <= 10 metric and <= 7*m^2 utilitarian (eps=1)",
     4: "truncated harmonic <= 4 metric and <= sqrt(72)*sqrt(m)*H_m utilitarian",

@@ -8,12 +8,16 @@ degeneracy probe (maximize expected cost with the cost of X* pinned to 0),
 then the main program with the cost of X* normalized to 1.
 
 ``reference_utilitarian_report`` is the homogenized utilitarian program
-that decides unboundedness by the LP alone.
+(Charnes-Cooper: scaled utilities v = s*u, each agent row summing to the
+scale s, expected welfare pinned to 1, the welfare of each X* maximized)
+that decides unboundedness by the LP alone. ``reference_utilitarian_lp`` is
+the route the library ran before its per-agent vertex choice: the support
+test, then the same program, raising where that route raised.
 
-Both return ``witness=None`` when a main program is unbounded. They are
-kept to cross-check the library's compact metric program and its
-combinatorial unboundedness tests on small shapes; they run on the direct
-ballot constraints.
+The first two return ``witness=None`` when a main program is unbounded.
+They are kept to cross-check the library's compact metric program, its
+utilitarian vertex choice and its combinatorial unboundedness tests on
+small shapes; they run on the direct ballot constraints.
 
 ``reference_completion_max`` is the top-t route the library replaced with
 its single prefix program: the worst case over every full profile that
@@ -37,12 +41,13 @@ from distortion_lab.core import (
     Profile,
     TopTProfile,
     UtilityProfile,
+    _consistency_chain,
 )
 from distortion_lab.oracles import (
     DistortionReport,
     _consistency_rows,
     _metric_closure,
-    _utilitarian_program,
+    _utilitarian_unbounded,
 )
 
 DEGENERACY_TOL = 1e-7
@@ -127,6 +132,44 @@ def reference_metric_report(
     )
 
 
+def _utilitarian_program(
+    lot: Lottery, p: Profile | TopTProfile
+) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """Constraints of the homogenized program over v = s*u, as (lhs, relations, rhs).
+
+    Agent rows sum to the trailing scale variable s, utilities are monotone
+    along each ballot, and the expected welfare is pinned to 1.
+    """
+    n, m = p.n, p.m
+    nv = n * m + 1  # trailing variable is the scale s
+    s_col = n * m
+
+    rows = []
+    rhs = []
+    rel = []
+    for i in range(n):
+        row = np.zeros(nv)
+        row[i * m : (i + 1) * m] = 1.0
+        row[s_col] = -1.0
+        rows.append(row)
+        rel.append("=")
+        rhs.append(0.0)
+    for i in range(n):
+        for better, worse in _consistency_chain(p, i):
+            row = np.zeros(nv)
+            row[i * m + worse] = 1.0
+            row[i * m + better] = -1.0
+            rows.append(row)
+            rel.append("<=")
+            rhs.append(0.0)
+    denom = np.zeros(nv)
+    denom[:s_col] = np.tile(lot.prob, n)
+    rows.append(denom)
+    rel.append("=")
+    rhs.append(1.0)
+    return np.asarray(rows), tuple(rel), np.asarray(rhs)
+
+
 def reference_utilitarian_report(
     lot: Lottery, p: Profile | TopTProfile
 ) -> DistortionReport:
@@ -163,6 +206,25 @@ def reference_utilitarian_report(
         witness=UtilityProfile(grid),
         arg_optimum=best_x,
     )
+
+
+def reference_utilitarian_lp(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
+    """The library's former utilitarian route: the support test, then the LP.
+
+    Raises ``RuntimeError`` where that route did: when the solver's
+    feasibility post-check fails, or when the program looks unbounded
+    although the support test found the distortion bounded.
+    """
+    unbounded = _utilitarian_unbounded(lot, p)
+    if unbounded is not None:
+        return unbounded
+    report = reference_utilitarian_report(lot, p)
+    if report.value.is_unbounded:
+        raise RuntimeError(
+            f"utilitarian program for x*={report.arg_optimum} is unbounded "
+            "after the support test found the distortion bounded"
+        )
+    return report
 
 
 def _completions(p: TopTProfile) -> Iterator[Profile]:

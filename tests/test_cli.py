@@ -348,6 +348,40 @@ class TestSweep:
         assert code == 3
         assert "'seed'" in err
 
+    @pytest.mark.parametrize(
+        "grid, seeds",
+        [
+            ([{"n": 0, "m": 3}], [5]),
+            ([{"n": 3, "m": 0}], [5]),
+            ([{"n": 3, "m": 3, "t": 5}], [5]),
+            ([{"n": 3, "m": 3, "t": 0}], [5]),
+            ([{"n": 3.7, "m": 3}], [5]),
+            ([{"n": True, "m": 3}], [5]),
+            ([{"n": 3, "m": 3, "t": 1.0}], [5]),
+            ([{"n": 3, "m": 3}], [1.9]),
+            ([{"n": 3, "m": 3}], ["7"]),
+            ([{"n": 3, "m": 3}], [False]),
+            ([{"n": 3, "m": 3}], [-1]),
+        ],
+        ids=[
+            "n-zero", "m-zero", "t-above-m", "t-zero", "n-float", "n-bool",
+            "t-float", "seed-float", "seed-string", "seed-bool", "seed-negative",
+        ],
+    )
+    def test_bad_grid_cell_or_seed(self, tmp_path, grid, seeds):
+        # A good cell comes first, so a fault found only inside the pool
+        # would surface after other cells have run.
+        cfg = tmp_path / "cfg.json"
+        bad = dict(self.CONFIG, grid=[{"n": 2, "m": 2}] + grid, seeds=[1] + seeds)
+        cfg.write_text(json.dumps(bad))
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run_cli(
+            ["sweep", "--config", str(cfg), "--output", str(out_csv), "--jobs", "2"]
+        )
+        assert code == 3 and out == ""
+        assert str(cfg) in err
+        assert not out_csv.exists()
+
     def test_jobs_do_not_change_bytes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(self.CONFIG))
@@ -401,6 +435,17 @@ class TestReproduce:
         assert code == 0
         value = float(csv.reader(out_csv.read_text().splitlines()[1:]).__next__()[1])
         assert 1.0 <= value <= 3 + 1e-6
+
+    @pytest.mark.parametrize("sample", ["0", "-3"])
+    def test_sample_below_one(self, tmp_path, sample):
+        out_csv = tmp_path / "t.csv"
+        code, out, err = run_cli(
+            ["reproduce", "--n", "5", "--m", "4", "--output", str(out_csv),
+             "--rules", "plurality", "--sample", sample]
+        )
+        assert code == 4 and out == ""
+        assert "--sample" in err
+        assert not out_csv.exists()
 
     def test_unknown_rule_filter(self, tmp_path):
         code, _, _ = run_cli(
