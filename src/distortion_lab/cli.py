@@ -6,7 +6,8 @@ Commands: ``run`` (apply a rule to an instance, print the lottery),
 ``reproduce`` (worst-case table over all or sampled profiles at one size)
 and ``generate`` (write generator output to instance files). Each command
 declares only the flags it reads: ``--jobs`` on ``sweep``, ``--budget`` on
-``oracle`` and ``reproduce``, ``--seed`` on ``reproduce`` and ``generate``.
+``oracle`` and ``reproduce``, ``--seed`` on ``reproduce`` and ``generate``;
+``generate`` refuses a flag its ``--kind`` does not read (``GENERATE_READERS``).
 
 ``RULES`` is the one table of rule ids: each entry gives a factory, the
 ballot kinds it accepts and its declared parameters with their defaults
@@ -41,7 +42,7 @@ import time
 from typing import Callable, NamedTuple
 
 from . import instances, oracles, rules
-from .core import Lottery, Profile, TopTProfile, truncate_profile
+from .core import DistortionValue, Lottery, Profile, TopTProfile, truncate_profile
 from .instances import InstanceFormatError
 from .oracles import BudgetExceededError
 
@@ -412,15 +413,13 @@ def cmd_reproduce(args) -> int:
                     rule, n, m, world, budget=budget
                 )
             else:
-                worst = None
-                for j in range(args.sample):
-                    p = instances.random_profile(n, m, args.seed + j)
-                    report = oracles.rule_distortion(rule, p, world)
-                    if worst is None or report.value.value > worst.value:
-                        worst = report.value
-                    if worst.is_unbounded:
-                        break
-                value = worst
+                samples = (
+                    instances.random_profile(n, m, args.seed + j) for j in range(args.sample)
+                )
+                worst, _ = oracles._first_max(
+                    (oracles.rule_distortion(rule, p, world).value.value, p) for p in samples
+                )
+                value = DistortionValue(worst)
             row.append(str(value))
         table.append(tuple(row))
 
@@ -439,14 +438,24 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
+# The kinds that read each optional generate flag; every kind reads --n and --m.
+GENERATE_READERS = {
+    "seed": ("random",), "t": ("thm51", "thm53"), "dm": ("thm53",), "metric_out": ("thm36", "thm53")
+}
+
+
 def cmd_generate(args) -> int:
     kind = args.kind
+    for name, kinds in GENERATE_READERS.items():
+        if getattr(args, name) is not None and kind not in kinds:
+            flag = "--" + name.replace("_", "-")
+            raise CliError(EXIT_BAD_PARAMS, f"{flag} is not read by --kind {kind}")
     metric = None
     try:
         if args.n is None or args.m is None:
             raise ValueError(f"{kind} needs --n and --m")
         if kind == "random":
-            out = instances.random_profile(args.n, args.m, args.seed)
+            out = instances.random_profile(args.n, args.m, args.seed or 0)
         elif kind == "prop31":
             out = instances.prop31_profile(args.n, args.m)
         elif kind == "thm36":
@@ -458,8 +467,8 @@ def cmd_generate(args) -> int:
         else:  # thm53
             if args.t is None:
                 raise ValueError("thm53 needs --t")
-            out = instances.thm53_instance(args.n, args.m, args.t, args.dm)
-            out, metric = out
+            dm = 2.0 if args.dm is None else args.dm
+            out, metric = instances.thm53_instance(args.n, args.m, args.t, dm)
     except ValueError as exc:
         raise CliError(EXIT_BAD_PARAMS, str(exc))
     instances.save_instance(out, args.out)
@@ -558,8 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--n", type=int, default=None)
     generate.add_argument("--m", type=int, default=None)
     generate.add_argument("--t", type=int, default=None)
-    generate.add_argument("--dm", type=float, default=2.0, help="target ratio for thm53")
-    generate.add_argument("--seed", type=int, default=0, help="seed for --kind random")
+    generate.add_argument("--dm", type=float, default=None, help="thm53 target ratio (default 2.0)")
+    generate.add_argument("--seed", type=int, default=None, help="random kind seed (default 0)")
     generate.set_defaults(func=cmd_generate)
 
     return parser

@@ -1,7 +1,10 @@
 """Ordinal ballots, cardinal instances, and point evaluation of distortion.
 
 Agents and alternatives are integer-indexed from 0. Ballots are either full
-strict rankings or ordered top-t prefixes. A cardinal instance is one of:
+strict rankings or ordered top-t prefixes, read through one view for both:
+``p.ballots[i]`` (agent i's ranked alternatives, best first) and
+``p.unranked(i)``; a full ranking is a prefix with nothing unranked.
+A cardinal instance is one of:
 
 * a :class:`MetricSpace`, a pseudometric over the n agents followed by the
   m alternatives (costs, smaller is better), or
@@ -87,6 +90,15 @@ class Profile:
         return len(self.rankings)
 
     @cached_property
+    def ballots(self) -> tuple[tuple[int, ...], ...]:
+        """Each agent's ranking as a tuple, most preferred first."""
+        return tuple(r.order for r in self.rankings)
+
+    def unranked(self, i: int) -> tuple[int, ...]:
+        """A full ranking leaves no alternative unranked."""
+        return ()
+
+    @cached_property
     def positions(self) -> np.ndarray:
         """(n, m) array: positions[i, x] is agent i's 0-based position of x."""
         pos = np.empty((self.n, self.m), dtype=np.int64)
@@ -119,6 +131,10 @@ class TopTProfile:
     def n(self) -> int:
         return len(self.prefixes)
 
+    @property
+    def ballots(self) -> tuple[tuple[int, ...], ...]:
+        return self.prefixes
+
     def unranked(self, i: int) -> tuple[int, ...]:
         ranked = set(self.prefixes[i])
         return tuple(x for x in range(self.m) if x not in ranked)
@@ -138,14 +154,10 @@ def validate_profile(p: Profile | TopTProfile) -> list[str]:
     if isinstance(p, TopTProfile):
         if not (1 <= p.t <= p.m):
             issues.append(f"t={p.t} out of range for m={p.m}")
-        ballots = p.prefixes
-        want_len = p.t
-        kind = "prefix"
+        want_len, kind = p.t, "prefix"
     else:
-        ballots = tuple(r.order for r in p.rankings)
-        want_len = p.m
-        kind = "ranking"
-    for i, order in enumerate(ballots):
+        want_len, kind = p.m, "ranking"
+    for i, order in enumerate(p.ballots):
         if len(order) != want_len:
             issues.append(
                 f"{kind} of agent {i} has length {len(order)}, expected {want_len}"
@@ -162,10 +174,7 @@ def validate_profile(p: Profile | TopTProfile) -> list[str]:
 
 def plurality_scores(p: Profile | TopTProfile) -> np.ndarray:
     """Number of agents ranking each alternative first, as an (m,) int array."""
-    if isinstance(p, TopTProfile):
-        tops = [pre[0] for pre in p.prefixes]
-    else:
-        tops = [r.order[0] for r in p.rankings]
+    tops = [ballot[0] for ballot in p.ballots]
     return np.bincount(np.asarray(tops, dtype=np.int64), minlength=p.m)
 
 
@@ -196,7 +205,7 @@ def truncate_profile(p: Profile, t: int) -> TopTProfile:
     """Keep only each agent's top-t prefix."""
     if not (1 <= t <= p.m):
         raise ValueError(f"t={t} out of range for m={p.m}")
-    return TopTProfile(p.m, t, tuple(r.order[:t] for r in p.rankings))
+    return TopTProfile(p.m, t, tuple(ballot[:t] for ballot in p.ballots))
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,16 +367,13 @@ class DistortionValue:
 def _consistency_chain(p: Profile | TopTProfile, i: int) -> list[tuple[int, int]]:
     """(better, worse) pairs whose pairwise order agent i's ballot pins down.
 
-    For full rankings these are the consecutive pairs; transitivity covers the
-    rest. For prefixes: consecutive ranked pairs plus (last ranked, unranked).
+    The consecutive ranked pairs, plus (last ranked, x) for each unranked x;
+    transitivity covers the rest. A full ranking has no unranked pairs.
     """
-    if isinstance(p, TopTProfile):
-        pre = p.prefixes[i]
-        pairs = [(pre[k], pre[k + 1]) for k in range(len(pre) - 1)]
-        pairs.extend((pre[-1], x) for x in p.unranked(i))
-        return pairs
-    order = p.rankings[i].order
-    return [(order[k], order[k + 1]) for k in range(len(order) - 1)]
+    ballot = p.ballots[i]
+    pairs = [(ballot[k], ballot[k + 1]) for k in range(len(ballot) - 1)]
+    pairs.extend((ballot[-1], x) for x in p.unranked(i))
+    return pairs
 
 
 def is_metric_consistent(d: MetricSpace, p: Profile | TopTProfile) -> bool:

@@ -128,7 +128,6 @@ def _run_phase(
     tab: np.ndarray,
     basis: list[int],
     allowed: np.ndarray,
-    pivot_tol: float,
     max_pivots: int,
     dump: IO[str] | None,
 ) -> tuple[str, int | None]:
@@ -136,17 +135,17 @@ def _run_phase(
 
     Returns (OPTIMAL, None) or (UNBOUNDED, entering_column). The bottom row
     holds reduced costs for a maximization; a column may enter while its
-    reduced cost is below -pivot_tol.
+    reduced cost is below -PIVOT_TOL.
     """
     n_rows = tab.shape[0] - 1
     for _ in range(max_pivots):
         reduced = tab[-1, :-1]
-        eligible = np.nonzero((reduced < -pivot_tol) & allowed)[0]
+        eligible = np.nonzero((reduced < -PIVOT_TOL) & allowed)[0]
         if eligible.size == 0:
             return OPTIMAL, None
         col = int(eligible[0])  # Bland: lowest eligible index
         column = tab[:n_rows, col]
-        positive = np.nonzero(column > pivot_tol)[0]
+        positive = np.nonzero(column > PIVOT_TOL)[0]
         if positive.size == 0:
             return UNBOUNDED, col
         ratios = tab[positive, -1] / column[positive]
@@ -160,21 +159,16 @@ def _run_phase(
     raise RuntimeError(f"simplex did not terminate within {max_pivots} pivots")
 
 
-def solve(
-    lp: LinearProgram,
-    *,
-    pivot_tol: float = PIVOT_TOL,
-    max_pivots: int | None = None,
-    dump: IO[str] | None = None,
-) -> LPOutcome:
+def solve(lp: LinearProgram, *, dump: IO[str] | None = None) -> LPOutcome:
     """Solve an LP with the two-phase tableau simplex method.
+
+    Entries with magnitude at most ``PIVOT_TOL`` count as zero for pivoting
+    decisions. Each phase is capped at 10_000 + 100 * (rows + columns)
+    pivots; Bland's rule guarantees finite termination, so hitting the cap
+    raises.
 
     Args:
         lp: the program to solve.
-        pivot_tol: entries with magnitude at most this are treated as zero
-            for pivoting decisions.
-        max_pivots: safety cap per phase; Bland's rule guarantees finite
-            termination, so hitting the cap raises.
         dump: optional text stream receiving tableau snapshots and the pivot
             log, for debugging.
 
@@ -218,8 +212,7 @@ def solve(
         tab[i, art_start + k] = 1.0
         basis[i] = art_start + k
 
-    if max_pivots is None:
-        max_pivots = 10_000 + 100 * (n_rows + n_cols)
+    max_pivots = 10_000 + 100 * (n_rows + n_cols)
     allowed = np.ones(n_cols, dtype=bool)
 
     if n_art:
@@ -234,7 +227,7 @@ def solve(
                 tab[-1] += costs[basis[i]] * tab[i]
         if dump is not None:
             _dump_tableau(dump, "phase 1 start", tab, basis)
-        status, _ = _run_phase(tab, basis, allowed, pivot_tol, max_pivots, dump)
+        status, _ = _run_phase(tab, basis, allowed, max_pivots, dump)
         if status != OPTIMAL:
             raise RuntimeError("phase 1 is bounded by construction")
         if tab[-1, -1] < -FEAS_TOL:
@@ -244,7 +237,7 @@ def solve(
         drop: list[int] = []
         for i in range(n_rows):
             if basis[i] >= art_start:
-                candidates = np.nonzero(np.abs(tab[i, :art_start]) > pivot_tol)[0]
+                candidates = np.nonzero(np.abs(tab[i, :art_start]) > PIVOT_TOL)[0]
                 if candidates.size:
                     _pivot(tab, i, int(candidates[0]))
                     basis[i] = int(candidates[0])
@@ -268,7 +261,7 @@ def solve(
             tab[-1] += costs[basis[i]] * tab[i]
     if dump is not None:
         _dump_tableau(dump, "phase 2 start", tab, basis)
-    status, entering = _run_phase(tab, basis, allowed, pivot_tol, max_pivots, dump)
+    status, entering = _run_phase(tab, basis, allowed, max_pivots, dump)
 
     if status == UNBOUNDED:
         ray_ext = np.zeros(n_cols)

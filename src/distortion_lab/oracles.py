@@ -49,10 +49,12 @@ ranked alternative above the next, the last ranked one above every unranked
 one): as LP rows in the metric world, as the vertices above in the
 utilitarian one. This is exact: a grid meets the prefix constraints exactly
 when it is consistent with some completion of the ballots, so the worst
-case is the maximum over completions.
+case is the maximum over completions. Both kinds are read through the
+ballot view (``p.ballots``, ``p.unranked``), so they share one code path.
 
-Deterministic throughout: candidates scan in ascending index order with
-strictly-greater updates, so ties resolve to the lowest index.
+Deterministic throughout: candidates scan in ascending index order through
+``_first_max``, which every best-so-far scan uses, so values tied within a
+relative 1e-12 resolve to the lowest index at any magnitude.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -94,6 +96,21 @@ __all__ = [
 
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured budget."""
+
+
+T = TypeVar("T")
+
+
+def _first_max(candidates: Iterable[tuple[float, T]]) -> tuple[float, T]:
+    """The first (value, item) pair: a later value replaces the best only if it
+    exceeds it by more than 1e-12 * max(1, |best|). Stops at an infinite value."""
+    best: tuple[float, T] | None = None
+    for value, item in candidates:
+        if best is None or value > best[0] + 1e-12 * max(1.0, abs(best[0])):
+            best = (value, item)
+            if math.isinf(value):
+                break
+    return best
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,10 +272,7 @@ def _metric_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
     rhs = np.zeros(lhs.shape[0])
     rhs[-1] = 1.0
 
-    best_value = -math.inf
-    best_assignment: np.ndarray | None = None
-    best_x = 0
-    for x_star in range(m):
+    def candidate(x_star: int) -> tuple[float, tuple[int, np.ndarray]]:
         a = lhs.copy()
         a[-1, x_star:nm:m] = 1.0
         main = lp.solve(lp.LinearProgram(objective=objective, lhs=a, relations=rel, rhs=rhs))
@@ -267,12 +281,10 @@ def _metric_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
                 f"metric program for x*={x_star} returned {main.status} "
                 "after the closure test found the distortion bounded"
             )
-        if main.value > best_value + 1e-12:
-            best_value = main.value
-            best_assignment = main.assignment
-            best_x = x_star
+        return main.value, (x_star, main.assignment)
 
-    witness = _metric_closure(best_assignment[:nm].reshape(n, m), n, m)
+    best_value, (best_x, assignment) = _first_max(candidate(x) for x in range(m))
+    witness = _metric_closure(assignment[:nm].reshape(n, m), n, m)
     return DistortionReport(
         value=DistortionValue.finite(max(best_value, 1.0)),
         witness=witness,
@@ -300,8 +312,7 @@ def _utilitarian_unbounded(
     """
     support = set(lot.support())
     positive: list[list[int]] = []
-    for i in range(p.n):
-        ballot = p.prefixes[i] if isinstance(p, TopTProfile) else p.rankings[i].order
+    for i, ballot in enumerate(p.ballots):
         first = next((k for k, x in enumerate(ballot) if x in support), None)
         if first == 0:
             return None
@@ -334,35 +345,26 @@ def _utilitarian_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionRep
     if unbounded is not None:
         return unbounded
     n, m = p.n, p.m
-    if isinstance(p, TopTProfile):
-        ballots = [(p.prefixes[i], p.unranked(i)) for i in range(n)]
-    else:
-        ballots = [(r.order, ()) for r in p.rankings]
+    unranked = [p.unranked(i) for i in range(n)]
     sizes = np.arange(1, m + 1)
 
-    best_value = -math.inf
-    best_util: np.ndarray | None = None
-    best_x = 0
-    for x_star in range(m):
+    def candidate(x_star: int) -> tuple[float, tuple[int, np.ndarray]]:
         lam, util = 0.0, None
         while True:
             gain = -lam * lot.prob
             gain[x_star] += 1.0
             vertices = np.zeros((n, m))
-            for i, (ranked, unranked) in enumerate(ballots):
-                order = list(ranked) + sorted(unranked, key=lambda y: -gain[y])
+            for i, ranked in enumerate(p.ballots):
+                order = list(ranked) + sorted(unranked[i], key=lambda y: -gain[y])
                 k = int(np.argmax(np.cumsum(gain[order]) / sizes)) + 1
                 vertices[i, order[:k]] = 1.0 / k
             welfare = vertices.sum(axis=0)
             ratio = float(welfare[x_star]) / float(lot.prob @ welfare)
             if ratio <= lam * (1.0 + 1e-12):
-                break
+                return lam, (x_star, util)
             lam, util = ratio, vertices
-        if lam > best_value + 1e-12:
-            best_value = lam
-            best_util = util
-            best_x = x_star
 
+    best_value, (best_x, best_util) = _first_max(candidate(x) for x in range(m))
     return DistortionReport(
         value=DistortionValue.finite(max(best_value, 1.0)),
         witness=UtilityProfile(best_util),
@@ -418,44 +420,26 @@ def utilitarian_distortion_bruteforce(
     # vertex_welfare[i][k] is agent i's welfare row for the uniform top-(k+1)
     # vertex: entries 1/(k+1) on the top k+1 ranked alternatives.
     vertex_welfare = np.zeros((n, m, m))
-    for i, r in enumerate(p.rankings):
+    for i, ballot in enumerate(p.ballots):
         for k in range(m):
-            vertex_welfare[i, k, list(r.order[: k + 1])] = 1.0 / (k + 1)
+            vertex_welfare[i, k, list(ballot[: k + 1])] = 1.0 / (k + 1)
 
-    best_ratio = -math.inf
-    best_choice: tuple[int, ...] | None = None
-    unbounded_choice: tuple[int, ...] | None = None
-    for choice in itertools.product(range(m), repeat=n):
+    def ratio(choice: tuple[int, ...]) -> float:
         welfare = vertex_welfare[range(n), choice, :].sum(axis=0)
         num = welfare.max()
         den = float(lot.prob @ welfare)
         if den == 0.0:
-            if num > LOTTERY_TOL:
-                unbounded_choice = choice
-                break
-            ratio = 1.0
-        else:
-            ratio = num / den
-        if ratio > best_ratio + 1e-15:
-            best_ratio = ratio
-            best_choice = choice
+            return math.inf if num > LOTTERY_TOL else 1.0
+        return num / den
 
-    def _grid(choice: tuple[int, ...]) -> UtilityProfile:
-        return UtilityProfile(vertex_welfare[range(n), choice, :])
-
-    if unbounded_choice is not None:
-        return DistortionReport(
-            value=DistortionValue.unbounded(),
-            witness=_grid(unbounded_choice),
-            arg_optimum=int(
-                np.argmax(vertex_welfare[range(n), unbounded_choice, :].sum(axis=0))
-            ),
-        )
-    welfare = vertex_welfare[range(n), best_choice, :].sum(axis=0)
+    best_ratio, choice = _first_max(
+        (ratio(c), c) for c in itertools.product(range(m), repeat=n)
+    )
+    grid = vertex_welfare[range(n), choice, :]
     return DistortionReport(
-        value=DistortionValue.finite(max(best_ratio, 1.0)),
-        witness=_grid(best_choice),
-        arg_optimum=int(np.argmax(welfare)),
+        value=DistortionValue(max(best_ratio, 1.0)),
+        witness=UtilityProfile(grid),
+        arg_optimum=int(np.argmax(grid.sum(axis=0))),
     )
 
 
@@ -508,13 +492,8 @@ def exhaustive_worst_case(
         count = (math.factorial(m) // math.factorial(m - t)) ** n
     if count > budget:
         raise BudgetExceededError(f"{count} profiles exceed the budget of {budget}")
-    best: DistortionValue | None = None
-    witness: Profile | TopTProfile | None = None
-    for profile in _all_profiles(n, m, t):
-        report = rule_distortion(rule, profile, world)
-        if report.value.is_unbounded:
-            return report.value, profile
-        if best is None or report.value.value > best.value + 1e-12:
-            best = report.value
-            witness = profile
-    return best, witness
+    best, witness = _first_max(
+        (rule_distortion(rule, profile, world).value.value, profile)
+        for profile in _all_profiles(n, m, t)
+    )
+    return DistortionValue(best), witness

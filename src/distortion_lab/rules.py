@@ -7,6 +7,11 @@ order, so outcomes are reproducible by construction.
 
 Rules that need full rankings raise ``ValueError`` when handed a top-t
 profile; ``plurality`` and ``random_dictatorship`` accept both.
+
+Full and top-t rules share one veto phase, ``_veto`` (an agent vetoes the
+highest-index survivor its ballot leaves out, else its last ranked
+survivor; a full ranking leaves none out), and one harmonic row builder,
+``_anchored_rows`` (h = H_m for full rankings, 2 * H_t for prefixes).
 """
 
 from __future__ import annotations
@@ -95,31 +100,40 @@ def copeland(p: Profile) -> Lottery:
     return Lottery.point_mass(p.m, int(np.argmax(score)))
 
 
-def plurality_veto(p: Profile) -> tuple[Lottery, VetoTrace]:
-    """Seed scores with plurality counts, then let each agent veto.
+def _veto(ballots: tuple[tuple[int, ...], ...], m: int) -> list[tuple[int, int, int]]:
+    """The veto phase over ``m`` alternatives, as (agent, vetoed, score after) events.
 
-    Alternatives start with their plurality scores; those at zero are
-    eliminated immediately. Agents then act once each in ascending index
-    order, decrementing the score of their least-preferred surviving
-    alternative; an alternative is eliminated when its score reaches zero.
-    Scores total n against n vetoes, so the final veto zeroes the last
-    survivor, which wins.
+    Alternatives start with their first-place counts; those at zero are
+    eliminated at once. Agents act once each in ascending index order,
+    decrementing the score of the highest-index survivor their ballot leaves
+    out, or if there is none, of their last ranked survivor; a score of zero
+    eliminates. Scores total n against n vetoes, so the last target wins.
     """
-    p = _require_full(p, "plurality_veto")
-    scores = plurality_scores(p).astype(np.int64)
-    alive = scores > 0
-    events: list[tuple[int, int, int]] = []
-    target = -1
-    for i, r in enumerate(p.rankings):
-        target = next(x for x in reversed(r.order) if alive[x])
+    scores = [0] * m
+    for ballot in ballots:
+        scores[ballot[0]] += 1
+    alive = [s > 0 for s in scores]
+    events = []
+    for i, ballot in enumerate(ballots):
+        ranked = set(ballot)
+        left_out = [x for x in range(m) if alive[x] and x not in ranked]
+        target = left_out[-1] if left_out else next(x for x in reversed(ballot) if alive[x])
         scores[target] -= 1
         if scores[target] == 0:
             alive[target] = False
-        events.append((i, int(target), int(scores[target])))
+        events.append((i, target, scores[target]))
+    return events
+
+
+def plurality_veto(p: Profile) -> tuple[Lottery, VetoTrace]:
+    """Seed scores with plurality counts, then let each agent veto its
+    least-preferred survivor in index order (``_veto``); the last target wins."""
+    p = _require_full(p, "plurality_veto")
+    events = _veto(p.ballots, p.m)
     trace = VetoTrace(
         initial_scores=tuple(int(s) for s in plurality_scores(p)),
         events=tuple(events),
-        winner=int(target),
+        winner=events[-1][1],
     )
     return Lottery.point_mass(p.m, trace.winner), trace
 
@@ -191,18 +205,24 @@ class TruncatedWeightFunction:
         return float(self.weights[:, y].sum())
 
 
+def _anchored_rows(p: Profile | TopTProfile, anchor: int, h: float) -> np.ndarray:
+    """(n, m) rows: 1/(h * rank) on each alternative ranked above ``anchor``
+    (all ranked ones if the ballot omits it), the rest of 1 on the anchor."""
+    rows = np.zeros((p.n, p.m))
+    for i, ballot in enumerate(p.ballots):
+        cut = ballot.index(anchor) if anchor in ballot else len(ballot)
+        for rank0, y in enumerate(ballot[:cut]):
+            rows[i, y] = 1.0 / (h * (rank0 + 1))
+        rows[i, anchor] = 1.0 - rows[i].sum()
+    return rows
+
+
 def truncated_weights(p: Profile, anchor: int) -> TruncatedWeightFunction:
     """Harmonic weights truncated at ``anchor`` (see TruncatedWeightFunction)."""
     p = _require_full(p, "truncated_weights")
     if not (0 <= anchor < p.m):
         raise ValueError(f"anchor {anchor} out of range for m={p.m}")
-    h_m = harmonic_number(p.m)
-    w = np.zeros((p.n, p.m))
-    for i, r in enumerate(p.rankings):
-        cut = r.order.index(anchor)
-        for rank0, y in enumerate(r.order[:cut]):
-            w[i, y] = 1.0 / (h_m * (rank0 + 1))
-        w[i, anchor] = 1.0 - w[i].sum()
+    w = _anchored_rows(p, anchor, harmonic_number(p.m))
     return TruncatedWeightFunction(anchor=anchor, weights=w)
 
 
@@ -226,31 +246,10 @@ BaseTopKRule = Callable[[tuple[tuple[int, ...], ...], int], int]
 
 
 def _restricted_plurality_veto(prefixes: tuple[tuple[int, ...], ...], m_sub: int) -> int:
-    """Veto phase on ragged prefix ballots over ``m_sub`` alternatives.
-
-    Completion convention for partial ballots: an agent's least-preferred
-    surviving alternative is the highest-index survivor absent from their
-    prefix; only if every survivor is ranked do they veto their true
-    least-preferred ranked survivor.
-    """
+    """Winner of the veto phase (``_veto``) on ragged prefixes over ``m_sub`` alternatives."""
     if any(len(pre) == 0 for pre in prefixes):
         raise ValueError("every agent needs a nonempty prefix")
-    scores = [0] * m_sub
-    for pre in prefixes:
-        scores[pre[0]] += 1
-    alive = [s > 0 for s in scores]
-    target = -1
-    for pre in prefixes:
-        ranked = set(pre)
-        unranked_alive = [x for x in range(m_sub) if alive[x] and x not in ranked]
-        if unranked_alive:
-            target = max(unranked_alive)
-        else:
-            target = next(x for x in reversed(pre) if alive[x])
-        scores[target] -= 1
-        if scores[target] == 0:
-            alive[target] = False
-    return target
+    return _veto(prefixes, m_sub)[-1][1]
 
 
 def top_t_det_rule(p: TopTProfile, base_rule: BaseTopKRule | None = None) -> Lottery:
@@ -306,14 +305,7 @@ def top_t_truncated_harmonic(
     anchor = _default_anchor(p) if anchor_rule is None else int(anchor_rule(p))
     if not (0 <= anchor < p.m):
         raise ValueError(f"anchor {anchor} out of range for m={p.m}")
-    h_t = harmonic_number(p.t)
-    rows = np.zeros((p.n, p.m))
-    for i, pre in enumerate(p.prefixes):
-        cut = pre.index(anchor) if anchor in pre else len(pre)
-        for rank0, y in enumerate(pre[:cut]):
-            rows[i, y] = 1.0 / (2.0 * h_t * (rank0 + 1))
-        rows[i, anchor] = 1.0 - rows[i].sum()
-    return Lottery(rows.mean(axis=0))
+    return Lottery(_anchored_rows(p, anchor, 2.0 * harmonic_number(p.t)).mean(axis=0))
 
 
 def mix(first: Lottery, second: Lottery, beta: float) -> Lottery:

@@ -23,6 +23,15 @@ small shapes; they run on the direct ballot constraints.
 its single prefix program: the worst case over every full profile that
 extends the prefixes, (m-t)!^n of them, each solved by a full-ranking
 oracle.
+
+The rule references are the per-kind loops the rules ran before they
+shared one veto phase and one anchored-row builder:
+``reference_plurality_veto`` (full rankings), ``reference_restricted_veto``
+(ragged prefixes, the base rule of ``top_t_det_rule``),
+``reference_truncated_weights`` and ``reference_truncated_harmonic`` (full
+rankings, anchor H_m) and ``reference_top_t_truncated_harmonic`` (prefixes,
+anchor 2 H_t). They are kept to check that the shared loops give the same
+bits.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from distortion_lab.core import (
     TopTProfile,
     UtilityProfile,
     _consistency_chain,
+    plurality_scores,
 )
 from distortion_lab.oracles import (
     DistortionReport,
@@ -49,6 +59,7 @@ from distortion_lab.oracles import (
     _metric_closure,
     _utilitarian_unbounded,
 )
+from distortion_lab.rules import VetoTrace, harmonic_number, top_t_det_rule
 
 DEGENERACY_TOL = 1e-7
 
@@ -254,3 +265,79 @@ def reference_completion_max(
         if best is None or report.value.value > best.value.value + 1e-12:
             best = report
     return best
+
+
+def reference_plurality_veto(p: Profile) -> tuple[Lottery, VetoTrace]:
+    """The veto phase on full rankings: each agent vetoes its last survivor."""
+    scores = plurality_scores(p).astype(np.int64)
+    alive = scores > 0
+    events: list[tuple[int, int, int]] = []
+    target = -1
+    for i, r in enumerate(p.rankings):
+        target = next(x for x in reversed(r.order) if alive[x])
+        scores[target] -= 1
+        if scores[target] == 0:
+            alive[target] = False
+        events.append((i, int(target), int(scores[target])))
+    trace = VetoTrace(
+        initial_scores=tuple(int(s) for s in plurality_scores(p)),
+        events=tuple(events),
+        winner=int(target),
+    )
+    return Lottery.point_mass(p.m, trace.winner), trace
+
+
+def reference_restricted_veto(prefixes: tuple[tuple[int, ...], ...], m_sub: int) -> int:
+    """The veto phase on ragged prefixes: the highest-index unranked survivor
+    goes first, the last ranked survivor only once every survivor is ranked."""
+    if any(len(pre) == 0 for pre in prefixes):
+        raise ValueError("every agent needs a nonempty prefix")
+    scores = [0] * m_sub
+    for pre in prefixes:
+        scores[pre[0]] += 1
+    alive = [s > 0 for s in scores]
+    target = -1
+    for pre in prefixes:
+        ranked = set(pre)
+        unranked_alive = [x for x in range(m_sub) if alive[x] and x not in ranked]
+        if unranked_alive:
+            target = max(unranked_alive)
+        else:
+            target = next(x for x in reversed(pre) if alive[x])
+        scores[target] -= 1
+        if scores[target] == 0:
+            alive[target] = False
+    return target
+
+
+def reference_truncated_weights(p: Profile, anchor: int) -> np.ndarray:
+    """Rows of 1/(H_m * rank) above ``anchor`` on full rankings, the rest on it."""
+    h_m = harmonic_number(p.m)
+    w = np.zeros((p.n, p.m))
+    for i, r in enumerate(p.rankings):
+        cut = r.order.index(anchor)
+        for rank0, y in enumerate(r.order[:cut]):
+            w[i, y] = 1.0 / (h_m * (rank0 + 1))
+        w[i, anchor] = 1.0 - w[i].sum()
+    return w
+
+
+def reference_truncated_harmonic(p: Profile, eps: float = 1.0) -> Lottery:
+    """eps/6 of the truncated weights at the veto winner, the rest on it."""
+    _, trace = reference_plurality_veto(p)
+    prob = (eps / 6.0) * reference_truncated_weights(p, trace.winner).mean(axis=0)
+    prob[trace.winner] += 1.0 - eps / 6.0
+    return Lottery(prob)
+
+
+def reference_top_t_truncated_harmonic(p: TopTProfile) -> Lottery:
+    """Rows of 1/(2 H_t * rank) above the ``top_t_det_rule`` anchor on prefixes."""
+    anchor = int(np.argmax(top_t_det_rule(p, base_rule=reference_restricted_veto).prob))
+    h_t = harmonic_number(p.t)
+    rows = np.zeros((p.n, p.m))
+    for i, pre in enumerate(p.prefixes):
+        cut = pre.index(anchor) if anchor in pre else len(pre)
+        for rank0, y in enumerate(pre[:cut]):
+            rows[i, y] = 1.0 / (2.0 * h_t * (rank0 + 1))
+        rows[i, anchor] = 1.0 - rows[i].sum()
+    return Lottery(rows.mean(axis=0))

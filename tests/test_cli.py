@@ -498,6 +498,36 @@ class TestGenerate:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seed", "5"), ("--t", "2"), ("--dm", "9"), ("--metric-out", "d.json")],
+    )
+    def test_flag_the_kind_does_not_read(self, tmp_path, flag, value):
+        # prop31 reads only --n and --m; each kind-specific flag is refused
+        # by name rather than ignored.
+        out = tmp_path / "x.json"
+        code, stdout, err = run_cli(
+            ["generate", "--kind", "prop31", "--n", "6", "--m", "4",
+             "--out", str(out), flag, value]
+        )
+        assert code == 4 and stdout == ""
+        assert flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dm", [None, "4"])
+    def test_kind_specific_flags_reach_their_readers(self, tmp_path, dm):
+        # thm53 reads --t, --dm (default 2.0) and --metric-out.
+        out, met_out = tmp_path / "i.json", tmp_path / "d.json"
+        extra = [] if dm is None else ["--dm", dm]
+        code, _, err = run_cli(
+            ["generate", "--kind", "thm53", "--n", "108", "--m", "9", "--t", "1",
+             "--out", str(out), "--metric-out", str(met_out)] + extra
+        )
+        assert code == 0, err
+        want = dl.thm53_instance(108, 9, 1, 2.0 if dm is None else float(dm))[0]
+        assert dl.load_instance(out) == want
+        assert met_out.exists()
+
 
 class TestRuleTable:
     # The library call each rule id stands for, at the library's default

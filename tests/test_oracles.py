@@ -416,6 +416,55 @@ class TestExhaustiveWorstCase:
         assert value.value == pytest.approx(1.0)
 
 
+def _mirrored_instance(rng: np.random.Generator) -> tuple[Profile, Lottery]:
+    """A profile and lottery mapped onto themselves by swapping alternatives
+    0 and 1 together with agents 2k and 2k+1; masses range down to 1e-10."""
+    m = int(rng.integers(3, 5))
+    swap = {0: 1, 1: 0}
+    rankings = []
+    for _ in range(int(rng.integers(1, 3))):
+        order = tuple(int(x) for x in rng.permutation(m))
+        rankings += [order, tuple(swap.get(x, x) for x in order)]
+    w = rng.random(m)
+    w[rng.random(m) < 0.3] = 0.0
+    if rng.random() < 0.5:
+        w[:2] = 10.0 ** rng.uniform(-10, -1)
+    w[1] = w[0]
+    if w.sum() == 0.0:
+        w[2] = 1.0
+    return Profile(m, tuple(rankings)), Lottery(w / w.sum())
+
+
+class TestTieResolution:
+    # Mapped onto itself by 0<->1 with agents 0<->1 and 2<->3; the worst
+    # cases for x* = 0 and 1 are equal and about 1.3e8, far above an
+    # absolute 1e-12 margin, and differ by rounding.
+    EPS = 4.79775993e-9
+    MIRRORED = Profile(4, ((0, 3, 1, 2), (1, 3, 0, 2), (1, 2, 0, 3), (0, 2, 1, 3)))
+
+    def test_large_tie_resolves_to_lowest_index(self):
+        lot = Lottery(np.array([self.EPS, self.EPS, 0.0, 1.0 - 2 * self.EPS]))
+        rep = utilitarian_distortion(lot, self.MIRRORED)
+        assert rep.value.value == pytest.approx(1.3e8, rel=0.05)
+        assert rep.arg_optimum == 0
+
+    @pytest.mark.parametrize("oracle", [metric_distortion, utilitarian_distortion])
+    def test_mirrored_instances_never_pick_1(self, oracle):
+        # 1 is optimal exactly when 0 is, so the scan must never end on 1.
+        rng = np.random.default_rng(20261018)
+        for case in range(200):
+            p, lot = _mirrored_instance(rng)
+            assert oracle(lot, p).arg_optimum != 1, case
+
+    def test_first_max_margin_is_relative(self):
+        from distortion_lab.oracles import _first_max
+
+        assert _first_max([(1e8, "a"), (1e8 * (1 + 5e-13), "b")]) == (1e8, "a")
+        assert _first_max([(1e8, "a"), (1e8 * (1 + 5e-12), "b")])[1] == "b"
+        assert _first_max([(0.5, "a"), (0.5 + 5e-13, "b")]) == (0.5, "a")
+        assert _first_max([(1.0, "a"), (math.inf, "b"), (math.inf, "c")]) == (math.inf, "b")
+
+
 class TestReportSerialization:
     def test_finite_metric_report(self):
         rep = metric_distortion(Lottery.point_mass(2, 0), AB_BA)

@@ -3,6 +3,15 @@
 import numpy as np
 import pytest
 
+import distortion_lab as dl
+from distortion_lab.rules import _restricted_plurality_veto
+from reference_oracles import (
+    reference_plurality_veto,
+    reference_restricted_veto,
+    reference_top_t_truncated_harmonic,
+    reference_truncated_harmonic,
+    reference_truncated_weights,
+)
 from distortion_lab import (
     Lottery,
     Profile,
@@ -277,3 +286,73 @@ class TestMix:
     def test_mismatched_width(self):
         with pytest.raises(ValueError):
             mix(Lottery.point_mass(2, 0), Lottery.point_mass(3, 0), 0.5)
+
+
+class TestReferenceCrossCheck:
+    """The shared veto phase and anchored rows against the per-kind loops they
+    replaced (``reference_oracles``): equal traces, winners and bits."""
+
+    CASES = 300
+
+    @staticmethod
+    def _full(seed: int) -> Profile:
+        return dl.random_profile(1 + seed % 9, 1 + seed % 6, seed=seed)
+
+    @staticmethod
+    def _top_t(seed: int, long: bool = False) -> TopTProfile:
+        """A seeded top-t profile; ``long`` keeps 2t > m."""
+        m = 2 + seed % 5
+        t = int(np.random.default_rng(seed).integers(m // 2 + 1 if long else 1, m + 1))
+        return truncate_profile(dl.random_profile(2 + seed % 11, m, seed=seed), t)
+
+    def test_plurality_veto(self):
+        for seed in range(self.CASES):
+            p = self._full(seed)
+            lot, trace = plurality_veto(p)
+            ref_lot, ref_trace = reference_plurality_veto(p)
+            assert trace == ref_trace, seed
+            assert np.array_equal(lot.prob, ref_lot.prob), seed
+
+    def test_restricted_veto_on_ragged_prefixes(self):
+        for seed in range(self.CASES):
+            rng = np.random.default_rng(seed)
+            m = 1 + seed % 6
+            prefixes = tuple(
+                tuple(int(x) for x in rng.permutation(m)[: rng.integers(1, m + 1)])
+                for _ in range(1 + seed % 8)
+            )
+            assert _restricted_plurality_veto(prefixes, m) == reference_restricted_veto(
+                prefixes, m
+            ), seed
+
+    def test_top_t_det_rule_base_branch(self):
+        runs = []
+
+        def counted(prefixes, m_sub):
+            runs.append(m_sub)
+            return _restricted_plurality_veto(prefixes, m_sub)
+
+        for seed in range(self.CASES):
+            p = self._top_t(seed, long=True)
+            assert 2 * p.t > p.m
+            got = top_t_det_rule(p, base_rule=counted).prob
+            assert np.array_equal(got, top_t_det_rule(p).prob), seed
+            ref = top_t_det_rule(p, base_rule=reference_restricted_veto).prob
+            assert np.array_equal(got, ref), seed
+        assert len(runs) >= self.CASES // 3
+
+    def test_truncated_weights_and_harmonic(self):
+        for seed in range(self.CASES):
+            p = self._full(seed)
+            for anchor in range(p.m):
+                got = truncated_weights(p, anchor).weights
+                assert np.array_equal(got, reference_truncated_weights(p, anchor)), seed
+            for eps in (1e-3, 1.0, 5.9):
+                got = truncated_harmonic(p, eps).prob
+                assert np.array_equal(got, reference_truncated_harmonic(p, eps).prob), seed
+
+    def test_top_t_truncated_harmonic(self):
+        for seed in range(self.CASES):
+            p = self._top_t(seed)
+            got = top_t_truncated_harmonic(p).prob
+            assert np.array_equal(got, reference_top_t_truncated_harmonic(p).prob), seed
