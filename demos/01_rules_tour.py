@@ -15,11 +15,11 @@ import distortion_lab as dl
 profile = dl.Profile(
     m=4,
     rankings=(
-        dl.Ranking((0, 1, 2, 3)),
-        dl.Ranking((0, 1, 3, 2)),
-        dl.Ranking((2, 1, 0, 3)),
-        dl.Ranking((3, 1, 2, 0)),
-        dl.Ranking((1, 2, 3, 0)),
+        (0, 1, 2, 3),
+        (0, 1, 3, 2),
+        (2, 1, 0, 3),
+        (3, 1, 2, 0),
+        (1, 2, 3, 0),
     ),
 )
 

@@ -16,13 +16,13 @@ import distortion_lab as dl
 profile = dl.Profile(
     m=3,
     rankings=(
-        dl.Ranking((0, 1, 2)),
-        dl.Ranking((1, 0, 2)),
-        dl.Ranking((2, 1, 0)),
+        (0, 1, 2),
+        (1, 0, 2),
+        (2, 1, 0),
     ),
 )
 lot = dl.plurality(profile)
-print("ballots:", [r.order for r in profile.rankings])
+print("ballots:", list(profile.rankings))
 print("plurality lottery:", lot.prob.tolist())
 print()
 
@@ -53,7 +53,7 @@ print()
 # ballots pin it down. Ranked-last-by-everyone is the clean case:
 unlucky = dl.Lottery(np.array([0.0, 0.0, 1.0]))
 tail_profile = dl.Profile(
-    m=3, rankings=(dl.Ranking((0, 1, 2)), dl.Ranking((1, 0, 2)))
+    m=3, rankings=((0, 1, 2), (1, 0, 2))
 )
 rep_bad = dl.metric_distortion(unlucky, tail_profile)
 print("point mass on the universally-last alternative:", rep_bad.value)
@@ -67,4 +67,4 @@ print()
 value, worst = dl.exhaustive_worst_case(dl.plurality, 2, 2, "metric")
 print("worst metric distortion of plurality over all 2-agent, "
       "2-alternative profiles:", value)
-print("achieved on ballots:", [r.order for r in worst.rankings])
+print("achieved on ballots:", list(worst.rankings))

@@ -15,129 +15,20 @@ demonstrations and handles the JSON file formats; ``lp`` is the dense
 two-phase simplex solver underneath the metric oracle.
 """
 
-from .core import (
-    LOTTERY_TOL,
-    RATIO_TOL,
-    STRUCT_TOL,
-    DistortionValue,
-    Lottery,
-    MetricSpace,
-    Profile,
-    Ranking,
-    TopTProfile,
-    UtilityProfile,
-    eval_distortion,
-    is_metric_consistent,
-    is_utility_consistent,
-    plurality_scores,
-    restrict_profile,
-    social_cost,
-    social_welfare,
-    truncate_profile,
-    validate_profile,
-)
-from .instances import (
-    GENERATOR_KINDS,
-    InstanceFormatError,
-    load_instance,
-    load_lottery,
-    load_metric,
-    load_utilities,
-    prop31_profile,
-    random_profile,
-    save_instance,
-    save_lottery,
-    save_metric,
-    save_utilities,
-    thm36_instance,
-    thm51_profile,
-    thm53_instance,
-)
-from .lp import LinearProgram, LPOutcome, solve
-from .oracles import (
-    BudgetExceededError,
-    DistortionReport,
-    exhaustive_worst_case,
-    metric_distortion,
-    rule_distortion,
-    utilitarian_distortion,
-    utilitarian_distortion_bruteforce,
-)
-from .rules import (
-    VetoTrace,
-    copeland,
-    harmonic_number,
-    harmonic_rule,
-    mix,
-    plurality,
-    plurality_veto,
-    pruned_plurality_veto,
-    random_dictatorship,
-    top_t_det_rule,
-    top_t_truncated_harmonic,
-    truncated_harmonic,
-    truncated_weights,
-)
+from . import core, instances, lp, oracles, rules
+from .core import *
+from .instances import *
+from .lp import *
+from .oracles import *
+from .rules import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LOTTERY_TOL",
-    "RATIO_TOL",
-    "STRUCT_TOL",
-    "DistortionValue",
-    "Lottery",
-    "MetricSpace",
-    "Profile",
-    "Ranking",
-    "TopTProfile",
-    "UtilityProfile",
-    "eval_distortion",
-    "is_metric_consistent",
-    "is_utility_consistent",
-    "plurality_scores",
-    "restrict_profile",
-    "social_cost",
-    "social_welfare",
-    "truncate_profile",
-    "validate_profile",
-    "GENERATOR_KINDS",
-    "InstanceFormatError",
-    "load_instance",
-    "load_lottery",
-    "load_metric",
-    "load_utilities",
-    "prop31_profile",
-    "random_profile",
-    "save_instance",
-    "save_lottery",
-    "save_metric",
-    "save_utilities",
-    "thm36_instance",
-    "thm51_profile",
-    "thm53_instance",
-    "LinearProgram",
-    "LPOutcome",
-    "solve",
-    "BudgetExceededError",
-    "DistortionReport",
-    "exhaustive_worst_case",
-    "metric_distortion",
-    "rule_distortion",
-    "utilitarian_distortion",
-    "utilitarian_distortion_bruteforce",
-    "VetoTrace",
-    "copeland",
-    "harmonic_number",
-    "harmonic_rule",
-    "mix",
-    "plurality",
-    "plurality_veto",
-    "pruned_plurality_veto",
-    "random_dictatorship",
-    "top_t_det_rule",
-    "top_t_truncated_harmonic",
-    "truncated_harmonic",
-    "truncated_weights",
+    *core.__all__,
+    *instances.__all__,
+    *lp.__all__,
+    *oracles.__all__,
+    *rules.__all__,
     "__version__",
 ]

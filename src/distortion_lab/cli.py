@@ -42,7 +42,14 @@ import time
 from typing import Callable, NamedTuple
 
 from . import instances, oracles, rules
-from .core import DistortionValue, Lottery, Profile, TopTProfile, truncate_profile
+from .core import (
+    RATIO_TOL,
+    DistortionValue,
+    Lottery,
+    Profile,
+    TopTProfile,
+    truncate_profile,
+)
 from .instances import InstanceFormatError
 from .oracles import BudgetExceededError
 
@@ -252,7 +259,7 @@ def cmd_oracle(args) -> int:
             report.value.is_unbounded == twin.value.is_unbounded
             and (
                 report.value.is_unbounded
-                or abs(report.value.value - twin.value.value) <= 1e-6
+                or abs(report.value.value - twin.value.value) <= RATIO_TOL
             )
         )
         if not agree:
@@ -275,9 +282,10 @@ def _sweep_worker(item: dict) -> tuple:
     )
     if item["t"] is not None:
         p = truncate_profile(p, item["t"])
-    started = time.perf_counter()
+    timed = item["timings"]
+    started = time.perf_counter() if timed else 0.0
     report = oracles.rule_distortion(rule, p, item["world"])
-    elapsed_ms = int(round((time.perf_counter() - started) * 1000))
+    elapsed_ms = int(round((time.perf_counter() - started) * 1000)) if timed else 0
     return (
         item["label"],
         item["n"],
@@ -287,7 +295,7 @@ def _sweep_worker(item: dict) -> tuple:
         item["world"],
         str(report.value),
         report.arg_optimum,
-        elapsed_ms if item["timings"] else 0,
+        elapsed_ms,
     )
 
 

@@ -1,9 +1,10 @@
 """Ordinal ballots, cardinal instances, and point evaluation of distortion.
 
 Agents and alternatives are integer-indexed from 0. Ballots are either full
-strict rankings or ordered top-t prefixes, read through one view for both:
-``p.ballots[i]`` (agent i's ranked alternatives, best first) and
-``p.unranked(i)``; a full ranking is a prefix with nothing unranked.
+strict rankings or ordered top-t prefixes; both kinds store each ballot once,
+as a plain tuple of ints, best first (``Profile.rankings``,
+``TopTProfile.prefixes``), and are read through one view: ``p.ballots[i]``
+and ``p.unranked(i)``; a full ranking is a prefix with nothing unranked.
 A cardinal instance is one of:
 
 * a :class:`MetricSpace`, a pseudometric over the n agents followed by the
@@ -35,7 +36,6 @@ __all__ = [
     "STRUCT_TOL",
     "LOTTERY_TOL",
     "RATIO_TOL",
-    "Ranking",
     "Profile",
     "TopTProfile",
     "MetricSpace",
@@ -54,21 +54,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Ranking:
-    """A strict linear order over alternatives, most preferred first."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "order", tuple(int(x) for x in self.order))
-
-    def rank_of(self, alt: int) -> int:
-        """1-based rank of ``alt``."""
-        return self.order.index(alt) + 1
-
-    def __len__(self) -> int:
-        return len(self.order)
+def _int_ballots(ballots) -> tuple[tuple[int, ...], ...]:
+    """Ballots as int tuples; a profile needs at least one."""
+    coerced = tuple(tuple(int(x) for x in ballot) for ballot in ballots)
+    if not coerced:
+        raise ValueError("a profile needs at least one ballot")
+    return coerced
 
 
 @dataclass(frozen=True)
@@ -76,23 +67,19 @@ class Profile:
     """n full rankings over m alternatives."""
 
     m: int
-    rankings: tuple[Ranking, ...]
+    rankings: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        coerced = tuple(
-            r if isinstance(r, Ranking) else Ranking(tuple(r)) for r in self.rankings
-        )
         object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "rankings", coerced)
+        object.__setattr__(self, "rankings", _int_ballots(self.rankings))
 
     @property
     def n(self) -> int:
         return len(self.rankings)
 
-    @cached_property
+    @property
     def ballots(self) -> tuple[tuple[int, ...], ...]:
-        """Each agent's ranking as a tuple, most preferred first."""
-        return tuple(r.order for r in self.rankings)
+        return self.rankings
 
     def unranked(self, i: int) -> tuple[int, ...]:
         """A full ranking leaves no alternative unranked."""
@@ -102,8 +89,8 @@ class Profile:
     def positions(self) -> np.ndarray:
         """(n, m) array: positions[i, x] is agent i's 0-based position of x."""
         pos = np.empty((self.n, self.m), dtype=np.int64)
-        for i, r in enumerate(self.rankings):
-            pos[i, list(r.order)] = np.arange(self.m)
+        for i, ranking in enumerate(self.rankings):
+            pos[i, list(ranking)] = np.arange(self.m)
         return pos
 
 
@@ -123,9 +110,7 @@ class TopTProfile:
     def __post_init__(self):
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "t", int(self.t))
-        object.__setattr__(
-            self, "prefixes", tuple(tuple(int(x) for x in p) for p in self.prefixes)
-        )
+        object.__setattr__(self, "prefixes", _int_ballots(self.prefixes))
 
     @property
     def n(self) -> int:
@@ -149,8 +134,6 @@ def validate_profile(p: Profile | TopTProfile) -> list[str]:
     issues: list[str] = []
     if p.m < 1:
         issues.append(f"m={p.m} must be at least 1")
-    if p.n < 1:
-        issues.append(f"n={p.n} must be at least 1")
     if isinstance(p, TopTProfile):
         if not (1 <= p.t <= p.m):
             issues.append(f"t={p.t} out of range for m={p.m}")
@@ -178,6 +161,17 @@ def plurality_scores(p: Profile | TopTProfile) -> np.ndarray:
     return np.bincount(np.asarray(tops, dtype=np.int64), minlength=p.m)
 
 
+def _restrict_ballots(
+    ballots: tuple[tuple[int, ...], ...], kept: list[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Drop every alternative not in ``kept`` (ascending) from each ballot and
+    re-index the rest so ``kept[new]`` is the original index."""
+    new_of_old = {old: new for new, old in enumerate(kept)}
+    return tuple(
+        tuple(new_of_old[x] for x in ballot if x in new_of_old) for ballot in ballots
+    )
+
+
 def restrict_profile(
     p: Profile, keep: "list[int] | tuple[int, ...] | set[int]"
 ) -> tuple[Profile, tuple[int, ...]]:
@@ -193,12 +187,7 @@ def restrict_profile(
     for x in kept:
         if not (0 <= x < p.m):
             raise ValueError(f"alternative {x} out of range for m={p.m}")
-    new_of_old = {old: new for new, old in enumerate(kept)}
-    keep_set = set(kept)
-    rankings = tuple(
-        tuple(new_of_old[x] for x in r.order if x in keep_set) for r in p.rankings
-    )
-    return Profile(len(kept), rankings), tuple(kept)
+    return Profile(len(kept), _restrict_ballots(p.rankings, kept)), tuple(kept)
 
 
 def truncate_profile(p: Profile, t: int) -> TopTProfile:

@@ -282,7 +282,7 @@ def save_instance(p: Profile | TopTProfile, path: str | Path):
     if isinstance(p, TopTProfile):
         data = {"m": p.m, "n": p.n, "t": p.t, "prefixes": [list(b) for b in p.prefixes]}
     else:
-        data = {"m": p.m, "n": p.n, "rankings": [list(r.order) for r in p.rankings]}
+        data = {"m": p.m, "n": p.n, "rankings": [list(b) for b in p.rankings]}
     Path(path).write_text(json.dumps(data) + "\n")
 
 

@@ -3,8 +3,10 @@
 The solver favors reproducibility over speed: Bland's anti-cycling rule picks
 the lowest-eligible entering column and breaks ratio-test ties by the lowest
 basic variable index, so identical inputs always take the identical pivot
-path. Unboundedness is a first-class outcome and carries an improving ray,
-because the worst-case oracles use it as the unbounded-distortion signal.
+path. Unboundedness is a first-class outcome and carries an improving ray.
+The worst-case oracles do not read it as a distortion signal: closure and
+support tests decide unbounded distortion before any program is built, and
+the metric oracle treats a program that is not optimal after that as an error.
 
 All variables are bounded below (default 0); rows compare ``<=``, ``=`` or
 ``>=`` against the right-hand side.
@@ -26,16 +28,7 @@ INFEASIBLE = "infeasible"
 
 _RELATIONS = ("<=", "=", ">=")
 
-__all__ = [
-    "LinearProgram",
-    "LPOutcome",
-    "solve",
-    "OPTIMAL",
-    "UNBOUNDED",
-    "INFEASIBLE",
-    "PIVOT_TOL",
-    "FEAS_TOL",
-]
+__all__ = ["LinearProgram", "LPOutcome", "solve"]
 
 
 @dataclass(frozen=True, eq=False)

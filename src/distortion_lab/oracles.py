@@ -90,7 +90,6 @@ __all__ = [
     "utilitarian_distortion_bruteforce",
     "rule_distortion",
     "exhaustive_worst_case",
-    "DEFAULT_ENUMERATION_BUDGET",
 ]
 
 
@@ -407,6 +406,8 @@ def utilitarian_distortion_bruteforce(
     maximized at a vertex of the product, so scanning all m^n combinations is
     exact. ``utilitarian_distortion`` chooses among the same vertices agent
     by agent, so this twin checks that choice against the full enumeration.
+    Like it, the twin keeps each alternative's worst ratio and resolves ties
+    between alternatives to the lowest index.
     """
     _check_dims(lot, p)
     if isinstance(p, TopTProfile):
@@ -424,22 +425,24 @@ def utilitarian_distortion_bruteforce(
         for k in range(m):
             vertex_welfare[i, k, list(ballot[: k + 1])] = 1.0 / (k + 1)
 
-    def ratio(choice: tuple[int, ...]) -> float:
+    # best[x] is the largest welfare(x) / expected welfare over combinations,
+    # first in product order; choices[x] is the combination attaining it.
+    best = np.full(m, -math.inf)
+    choices: list[tuple[int, ...]] = [()] * m
+    for choice in itertools.product(range(m), repeat=n):
         welfare = vertex_welfare[range(n), choice, :].sum(axis=0)
-        num = welfare.max()
         den = float(lot.prob @ welfare)
         if den == 0.0:
-            return math.inf if num > LOTTERY_TOL else 1.0
-        return num / den
-
-    best_ratio, choice = _first_max(
-        (ratio(c), c) for c in itertools.product(range(m), repeat=n)
-    )
-    grid = vertex_welfare[range(n), choice, :]
+            ratios = np.where(welfare > LOTTERY_TOL, math.inf, 1.0)
+        else:
+            ratios = welfare / den
+        for x in np.flatnonzero(ratios > best):
+            best[x], choices[x] = ratios[x], choice
+    best_ratio, x_star = _first_max((float(best[x]), x) for x in range(m))
     return DistortionReport(
         value=DistortionValue(max(best_ratio, 1.0)),
-        witness=UtilityProfile(grid),
-        arg_optimum=int(np.argmax(grid.sum(axis=0))),
+        witness=UtilityProfile(vertex_welfare[range(n), choices[x_star], :]),
+        arg_optimum=x_star,
     )
 
 

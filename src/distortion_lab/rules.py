@@ -26,13 +26,13 @@ from .core import (
     Lottery,
     Profile,
     TopTProfile,
+    _restrict_ballots,
     plurality_scores,
     restrict_profile,
 )
 
 __all__ = [
     "VetoTrace",
-    "TruncatedWeightFunction",
     "plurality",
     "copeland",
     "plurality_veto",
@@ -273,12 +273,7 @@ def top_t_det_rule(p: TopTProfile, base_rule: BaseTopKRule | None = None) -> Lot
     if len(shortlist) < 2 * (p.m - p.t + 1):
         # The overall plurality winner always clears the shortlist bar.
         return Lottery.point_mass(p.m, int(np.argmax(scores)))
-    new_of_old = {old: new for new, old in enumerate(shortlist)}
-    keep = set(shortlist)
-    restricted = tuple(
-        tuple(new_of_old[x] for x in pre if x in keep) for pre in p.prefixes
-    )
-    winner_sub = base_rule(restricted, len(shortlist))
+    winner_sub = base_rule(_restrict_ballots(p.prefixes, shortlist), len(shortlist))
     return Lottery.point_mass(p.m, shortlist[winner_sub])
 
 

@@ -17,7 +17,6 @@ from distortion_lab import (
     Lottery,
     MetricSpace,
     Profile,
-    Ranking,
     UtilityProfile,
 )
 
@@ -40,7 +39,7 @@ def profile_from_metric(met: MetricSpace) -> Profile:
     for i in range(met.n):
         row = met.agent_alt[i]
         order = np.lexsort((np.arange(met.m), row))
-        rows.append(Ranking(tuple(int(x) for x in order)))
+        rows.append(tuple(int(x) for x in order))
     return Profile(m=met.m, rankings=tuple(rows))
 
 
@@ -67,7 +66,7 @@ def consistent_utilities(rng: np.random.Generator, p) -> UtilityProfile:
         vals = np.sort(rng.random(p.m))[::-1]
         vals = vals / vals.sum()
         if isinstance(p, Profile):
-            ranked = p.rankings[i].order
+            ranked = p.rankings[i]
             rows[i, list(ranked)] = vals
         else:
             prefix = p.prefixes[i]

@@ -99,7 +99,7 @@ def _check_core_half_distance():
         n, m = int(rng.integers(1, 5)), int(rng.integers(2, 6))
         met, p = sampled_consistent_pair(rng, n, m)
         for i in range(n):
-            order = p.rankings[i].order
+            order = p.rankings[i]
             for a_pos in range(m):
                 for b_pos in range(a_pos + 1, m):
                     y, x = order[a_pos], order[b_pos]  # y preferred to x
@@ -310,7 +310,7 @@ def _check_oracle_support():
         n, m = int(rng.integers(1, 4)), int(rng.integers(2, 4))
         p = dl.random_profile(n, m, seed=21_000 + case)
         # Mass only on top choices: always a finite metric worst case.
-        tops = sorted({r.order[0] for r in p.rankings})
+        tops = sorted({r[0] for r in p.rankings})
         w = np.zeros(m)
         w[tops] = rng.random(len(tops)) + 0.1
         lot = dl.Lottery(w / w.sum())
@@ -321,7 +321,7 @@ def _check_oracle_support():
         for i in range(n):
             rest = [x for x in range(m + 1) if x != last]
             rng.shuffle(rest)
-            rows.append(dl.Ranking(tuple(rest) + (last,)))
+            rows.append(tuple(rest) + (last,))
         worst = dl.Profile(m=m + 1, rankings=tuple(rows))
         w2 = rng.random(m + 1) + 1e-3
         w2[last] = max(w2[last], 0.25)
@@ -373,7 +373,7 @@ def _check_rules_pv_property():
         _, trace = dl.plurality_veto(p)
         w = trace.winner
         firsts = int(dl.plurality_scores(p)[w])
-        lasts = sum(1 for r in p.rankings if r.order[-1] == w)
+        lasts = sum(1 for r in p.rankings if r[-1] == w)
         assert firsts >= lasts, (case, w, firsts, lasts)
 
 
@@ -403,7 +403,7 @@ def _check_rules_th_anchor_mass():
         for y in range(m):
             if y == anchor:
                 continue
-            if all(r.rank_of(anchor) < r.rank_of(y) for r in p.rankings):
+            if all(r.index(anchor) + 1 < r.index(y) + 1 for r in p.rankings):
                 assert lot.prob[y] == 0.0, (case, y)
 
 
@@ -458,7 +458,7 @@ def _check_rules_anonymity():
         _, trace = dl.plurality_veto(q)
         w = trace.winner
         firsts = int(dl.plurality_scores(q)[w])
-        lasts = sum(1 for r in q.rankings if r.order[-1] == w)
+        lasts = sum(1 for r in q.rankings if r[-1] == w)
         assert firsts >= lasts, case
 
 

@@ -274,7 +274,7 @@ def reference_plurality_veto(p: Profile) -> tuple[Lottery, VetoTrace]:
     events: list[tuple[int, int, int]] = []
     target = -1
     for i, r in enumerate(p.rankings):
-        target = next(x for x in reversed(r.order) if alive[x])
+        target = next(x for x in reversed(r) if alive[x])
         scores[target] -= 1
         if scores[target] == 0:
             alive[target] = False
@@ -315,8 +315,8 @@ def reference_truncated_weights(p: Profile, anchor: int) -> np.ndarray:
     h_m = harmonic_number(p.m)
     w = np.zeros((p.n, p.m))
     for i, r in enumerate(p.rankings):
-        cut = r.order.index(anchor)
-        for rank0, y in enumerate(r.order[:cut]):
+        cut = r.index(anchor)
+        for rank0, y in enumerate(r[:cut]):
             w[i, y] = 1.0 / (h_m * (rank0 + 1))
         w[i, anchor] = 1.0 - w[i].sum()
     return w

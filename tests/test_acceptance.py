@@ -97,7 +97,7 @@ def test_criterion_05_harmonic_unbounded_with_universal_last_place():
         n, m = 2 + j % 4, 3 + j % 3
         base = dl.random_profile(n, m - 1, seed=7000 + j)
         rankings = tuple(
-            dl.Ranking(r.order + (m - 1,)) for r in base.rankings
+            r + (m - 1,) for r in base.rankings
         )
         p = dl.Profile(m, rankings)
         value = dl.metric_distortion(dl.harmonic_rule(p), p).value

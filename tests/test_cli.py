@@ -30,9 +30,9 @@ def inst(tmp_path):
     p = dl.Profile(
         m=3,
         rankings=(
-            dl.Ranking((0, 1, 2)),
-            dl.Ranking((1, 0, 2)),
-            dl.Ranking((2, 1, 0)),
+            (0, 1, 2),
+            (1, 0, 2),
+            (2, 1, 0),
         ),
     )
     path = tmp_path / "p2.json"
@@ -152,8 +152,24 @@ class TestOracle:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"m": 3, "n": 0, "rankings": []},
+            {"m": 3, "n": 0, "t": 1, "prefixes": []},
+        ],
+    )
+    def test_instance_without_ballots(self, tmp_path, data):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            ["oracle", "--world", "metric", "--rule", "plurality", "--instance", str(path)]
+        )
+        assert code == 3 and out == ""
+        assert "at least one ballot" in err
+
     def test_harmonic_all_last_unbounded(self, tmp_path):
-        p = dl.Profile(m=3, rankings=(dl.Ranking((0, 1, 2)), dl.Ranking((1, 0, 2))))
+        p = dl.Profile(m=3, rankings=((0, 1, 2), (1, 0, 2)))
         path = tmp_path / "alllast.json"
         dl.save_instance(p, path)
         code, out, _ = run_cli(
@@ -166,7 +182,7 @@ class TestOracle:
         "world, prob", [("metric", [0.6, 0.4]), ("utilitarian", [0.0, 1.0])]
     )
     def test_unbounded_report_carries_witness(self, tmp_path, world, prob):
-        p = dl.Profile(m=2, rankings=(dl.Ranking((0, 1)),))
+        p = dl.Profile(m=2, rankings=((0, 1),))
         inst_path, lot_path = tmp_path / "single.json", tmp_path / "lot.json"
         dl.save_instance(p, inst_path)
         dl.save_lottery(dl.Lottery(np.array(prob)), lot_path)
@@ -277,6 +293,22 @@ class TestSweep:
         assert body == sorted(body, key=lambda r: (r[0], int(r[1]), int(r[2]), r[3], int(r[4]), r[5]))
         assert all(r[8] == "0" for r in body)  # timings off by default
         assert {r[0] for r in body} == {"plurality", "th_eps2"}
+
+    def test_no_clock_read_without_timings(self, tmp_path, monkeypatch):
+        def clock():
+            raise AssertionError("the clock was read without --timings")
+
+        monkeypatch.setattr(cli.time, "perf_counter", clock)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        out_csv = tmp_path / "out.csv"
+        code, out, _ = run_cli(
+            ["sweep", "--config", str(cfg), "--output", str(out_csv), "--jobs", "1"]
+        )
+        assert code == 0 and out == ""
+        body = list(csv.reader(out_csv.read_text().splitlines()))[1:]
+        assert len(body) == 6
+        assert all(r[8] == "0" for r in body)
 
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -10,7 +10,6 @@ from distortion_lab import (
     Lottery,
     MetricSpace,
     Profile,
-    Ranking,
     TopTProfile,
     UtilityProfile,
     eval_distortion,
@@ -24,8 +23,8 @@ from distortion_lab import (
     validate_profile,
 )
 
-P1 = Profile(m=3, rankings=(Ranking((0, 1, 2)), Ranking((0, 2, 1)), Ranking((1, 0, 2))))
-P2 = Profile(m=3, rankings=(Ranking((0, 1, 2)), Ranking((1, 0, 2)), Ranking((2, 1, 0))))
+P1 = Profile(m=3, rankings=((0, 1, 2), (0, 2, 1), (1, 0, 2)))
+P2 = Profile(m=3, rankings=((0, 1, 2), (1, 0, 2), (2, 1, 0)))
 
 
 def _metric_1agent(d_a: float, d_b: float, d_ab: float) -> MetricSpace:
@@ -47,7 +46,7 @@ class TestValidateProfile:
         assert validate_profile(P1) == []
 
     def test_duplicate_entry(self):
-        p = Profile(m=3, rankings=(Ranking((0, 0, 2)),))
+        p = Profile(m=3, rankings=((0, 0, 2),))
         violations = validate_profile(p)
         assert any("duplicate alternative 0 for agent 0" in v for v in violations)
 
@@ -57,12 +56,24 @@ class TestValidateProfile:
         assert any("out of range" in v for v in violations)
 
 
+class TestEmptyProfile:
+    # Every rule divides by, vetoes with or reads the top of some ballot, so
+    # a profile without one is refused where it is built.
+    def test_full_profile_needs_a_ballot(self):
+        with pytest.raises(ValueError, match="at least one ballot"):
+            Profile(3, ())
+
+    def test_prefix_profile_needs_a_ballot(self):
+        with pytest.raises(ValueError, match="at least one ballot"):
+            TopTProfile(3, 1, ())
+
+
 class TestPluralityScores:
     def test_p1(self):
         assert plurality_scores(P1).tolist() == [2, 1, 0]
 
     def test_unanimous(self):
-        p = Profile(m=3, rankings=(Ranking((0, 1, 2)),) * 3)
+        p = Profile(m=3, rankings=((0, 1, 2),) * 3)
         assert plurality_scores(p).tolist() == [3, 0, 0]
 
     def test_top1(self):
@@ -74,7 +85,7 @@ class TestRestrictProfile:
     def test_p1_keep_ab(self):
         q, index_map = restrict_profile(P1, [0, 1])
         assert q.m == 2
-        assert [r.order for r in q.rankings] == [(0, 1), (0, 1), (1, 0)]
+        assert [r for r in q.rankings] == [(0, 1), (0, 1), (1, 0)]
         assert list(index_map) == [0, 1]
 
     def test_keep_everything(self):
@@ -85,7 +96,7 @@ class TestRestrictProfile:
     def test_p2_keep_bc(self):
         q, index_map = restrict_profile(P2, [1, 2])
         # local index 0 is B, 1 is C
-        assert [r.order for r in q.rankings] == [(0, 1), (0, 1), (1, 0)]
+        assert [r for r in q.rankings] == [(0, 1), (0, 1), (1, 0)]
         assert list(index_map) == [1, 2]
 
     def test_empty_keep_rejected(self):
@@ -100,7 +111,7 @@ class TestTruncateProfile:
 
     def test_p1_top_m_keeps_content(self):
         q = truncate_profile(P1, 3)
-        assert q.prefixes == tuple(r.order for r in P1.rankings)
+        assert q.prefixes == tuple(r for r in P1.rankings)
 
     def test_p2_top2(self):
         assert truncate_profile(P2, 2).prefixes == ((0, 1), (1, 0), (2, 1))
@@ -115,18 +126,18 @@ class TestTruncateProfile:
 class TestMetricConsistency:
     def test_ordered_distances(self):
         met = _metric_1agent(0.0, 1.0, 1.0)
-        p = Profile(m=2, rankings=(Ranking((0, 1)),))
+        p = Profile(m=2, rankings=((0, 1),))
         assert is_metric_consistent(met, p)
 
     def test_reversed_order(self):
         met = _metric_1agent(0.0, 1.0, 1.0)
-        p = Profile(m=2, rankings=(Ranking((1, 0)),))
+        p = Profile(m=2, rankings=((1, 0),))
         assert not is_metric_consistent(met, p)
 
     def test_all_zero_pseudometric(self):
         met = MetricSpace(n=1, m=2, dist=np.zeros((3, 3)))
         for order in ((0, 1), (1, 0)):
-            assert is_metric_consistent(met, Profile(m=2, rankings=(Ranking(order),)))
+            assert is_metric_consistent(met, Profile(m=2, rankings=(order,)))
 
     def test_dimension_mismatch(self):
         met = _metric_1agent(0.0, 1.0, 1.0)
@@ -143,12 +154,12 @@ class TestMetricConsistency:
 class TestUtilityConsistency:
     def test_sorted_row(self):
         u = UtilityProfile(util=np.array([[0.5, 0.3, 0.2]]))
-        p = Profile(m=3, rankings=(Ranking((0, 1, 2)),))
+        p = Profile(m=3, rankings=((0, 1, 2),))
         assert is_utility_consistent(u, p)
 
     def test_reversed_row(self):
         u = UtilityProfile(util=np.array([[0.2, 0.3, 0.5]]))
-        p = Profile(m=3, rankings=(Ranking((0, 1, 2)),))
+        p = Profile(m=3, rankings=((0, 1, 2),))
         assert not is_utility_consistent(u, p)
 
     def test_top1_prefix_dominance(self):

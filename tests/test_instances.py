@@ -10,7 +10,6 @@ import distortion_lab as dl
 from distortion_lab import (
     InstanceFormatError,
     Profile,
-    Ranking,
     TopTProfile,
 )
 
@@ -26,7 +25,7 @@ class TestRandomProfile:
 
     def test_rankings_near_uniform(self):
         p = dl.random_profile(6000, 3, seed=0)
-        counts = Counter(r.order for r in p.rankings)
+        counts = Counter(r for r in p.rankings)
         assert len(counts) == 6
         expected = 6000 / 6
         for c in counts.values():
@@ -36,7 +35,7 @@ class TestRandomProfile:
 class TestProp31Profile:
     def test_reference_layout_n6_m3(self):
         p = dl.prop31_profile(6, 3)
-        orders = [r.order for r in p.rankings]
+        orders = [r for r in p.rankings]
         assert orders == [
             (1, 0, 2),
             (1, 0, 2),
@@ -51,7 +50,7 @@ class TestProp31Profile:
             p = dl.prop31_profile(n, m)
             per_block = n // (m - 1)
             firsts = dl.plurality_scores(p)
-            lasts = Counter(r.order[-1] for r in p.rankings)
+            lasts = Counter(r[-1] for r in p.rankings)
             assert firsts[0] == m - 1
             for x in range(1, m):
                 assert firsts[x] == per_block - 1

@@ -18,7 +18,6 @@ from distortion_lab import (
     BudgetExceededError,
     Lottery,
     Profile,
-    Ranking,
     TopTProfile,
     exhaustive_worst_case,
     metric_distortion,
@@ -27,8 +26,8 @@ from distortion_lab import (
     utilitarian_distortion_bruteforce,
 )
 
-AB = Profile(m=2, rankings=(Ranking((0, 1)),))
-AB_BA = Profile(m=2, rankings=(Ranking((0, 1)), Ranking((1, 0))))
+AB = Profile(m=2, rankings=((0, 1),))
+AB_BA = Profile(m=2, rankings=((0, 1), (1, 0)))
 
 
 class TestUtilitarianOracle:
@@ -88,12 +87,12 @@ class TestBruteforceTwin:
         assert rep.value.value == pytest.approx(2.0)
 
     def test_agreeing_agents(self):
-        p = Profile(m=2, rankings=(Ranking((0, 1)), Ranking((0, 1))))
+        p = Profile(m=2, rankings=((0, 1), (0, 1)))
         rep = utilitarian_distortion_bruteforce(Lottery.point_mass(2, 0), p)
         assert rep.value.value == pytest.approx(1.0)
 
     def test_zero_welfare_support_unbounded(self):
-        p = Profile(m=3, rankings=(Ranking((0, 1, 2)),))
+        p = Profile(m=3, rankings=((0, 1, 2),))
         rep = utilitarian_distortion_bruteforce(Lottery.point_mass(3, 2), p)
         assert rep.value.is_unbounded
 
@@ -231,7 +230,7 @@ def _three_route_cases(count: int):
         rng = np.random.default_rng(47_000 + case)
         n, m = int(rng.integers(1, 6)), int(rng.integers(2, 6))
         p = dl.random_profile(n, m, seed=47_000 + case)
-        top = p.rankings[0].order[0]
+        top = p.rankings[0][0]
         if case % 3 == 0:
             p = dl.truncate_profile(p, int(rng.integers(1, m)))
         w = rng.random(m) ** 3
@@ -337,7 +336,7 @@ class TestCompletionCrossCheck:
 class TestRuleDistortion:
     def test_plurality_veto_p2(self):
         p2 = Profile(
-            m=3, rankings=(Ranking((0, 1, 2)), Ranking((1, 0, 2)), Ranking((2, 1, 0)))
+            m=3, rankings=((0, 1, 2), (1, 0, 2), (2, 1, 0))
         )
         rep = rule_distortion(lambda q: dl.plurality_veto(q)[0], p2, "metric")
         assert rep.value.is_finite and rep.value.value <= 3 + 1e-6
@@ -348,7 +347,7 @@ class TestRuleDistortion:
 
     def test_harmonic_all_last_unbounded(self):
         p = Profile(
-            m=3, rankings=(Ranking((0, 1, 2)), Ranking((1, 0, 2)))
+            m=3, rankings=((0, 1, 2), (1, 0, 2))
         )  # 2 is last for everyone
         rep = rule_distortion(dl.harmonic_rule, p, "metric")
         assert rep.value.is_unbounded
@@ -371,7 +370,7 @@ class TestTopTOracles:
                 for tail_b in itertools.permutations((0, 1)):
                     full = Profile(
                         m=3,
-                        rankings=(Ranking((0,) + tail_a), Ranking((2,) + tail_b)),
+                        rankings=((0,) + tail_a, (2,) + tail_b),
                     )
                     got = oracle(lot, full).value
                     if got.is_unbounded:
@@ -447,6 +446,18 @@ class TestTieResolution:
         rep = utilitarian_distortion(lot, self.MIRRORED)
         assert rep.value.value == pytest.approx(1.3e8, rel=0.05)
         assert rep.arg_optimum == 0
+
+    def test_bruteforce_twin_resolves_the_tie_like_the_oracle(self):
+        lot = Lottery(np.array([self.EPS, self.EPS, 0.0, 1.0 - 2 * self.EPS]))
+        got = utilitarian_distortion(lot, self.MIRRORED)
+        twin = utilitarian_distortion_bruteforce(lot, self.MIRRORED)
+        assert twin.value.value == pytest.approx(got.value.value, rel=1e-6)
+        assert twin.arg_optimum == got.arg_optimum == 0
+        # The witness is the combination that attains the value at alternative 0.
+        assert dl.is_utility_consistent(twin.witness, self.MIRRORED)
+        welfare = twin.witness.util.sum(axis=0)
+        assert welfare[0] == welfare.max()
+        assert welfare[0] / float(lot.prob @ welfare) == twin.value.value
 
     @pytest.mark.parametrize("oracle", [metric_distortion, utilitarian_distortion])
     def test_mirrored_instances_never_pick_1(self, oracle):

@@ -15,7 +15,6 @@ from reference_oracles import (
 from distortion_lab import (
     Lottery,
     Profile,
-    Ranking,
     TopTProfile,
     copeland,
     harmonic_number,
@@ -32,8 +31,8 @@ from distortion_lab import (
     truncated_weights,
 )
 
-P1 = Profile(m=3, rankings=(Ranking((0, 1, 2)), Ranking((0, 2, 1)), Ranking((1, 0, 2))))
-P2 = Profile(m=3, rankings=(Ranking((0, 1, 2)), Ranking((1, 0, 2)), Ranking((2, 1, 0))))
+P1 = Profile(m=3, rankings=((0, 1, 2), (0, 2, 1), (1, 0, 2)))
+P2 = Profile(m=3, rankings=((0, 1, 2), (1, 0, 2), (2, 1, 0)))
 
 
 def _point(lot: Lottery) -> int:
@@ -50,7 +49,7 @@ class TestPlurality:
         assert _point(plurality(p)) == 0
 
     def test_unanimous(self):
-        p = Profile(m=3, rankings=(Ranking((1, 0, 2)),) * 4)
+        p = Profile(m=3, rankings=((1, 0, 2),) * 4)
         assert _point(plurality(p)) == 1
 
 
@@ -59,11 +58,11 @@ class TestCopeland:
         assert _point(copeland(P2)) == 1
 
     def test_unanimous_condorcet(self):
-        p = Profile(m=3, rankings=(Ranking((0, 1, 2)),) * 2)
+        p = Profile(m=3, rankings=((0, 1, 2),) * 2)
         assert _point(copeland(p)) == 0
 
     def test_symmetric_tie(self):
-        p = Profile(m=2, rankings=(Ranking((0, 1)), Ranking((1, 0))))
+        p = Profile(m=2, rankings=((0, 1), (1, 0)))
         assert _point(copeland(p)) == 0
 
     def test_rejects_prefix_profile(self):
@@ -80,7 +79,7 @@ class TestPluralityVeto:
         assert trace.winner == 1
 
     def test_unanimous_survivor(self):
-        p = Profile(m=3, rankings=(Ranking((0, 1, 2)),) * 3)
+        p = Profile(m=3, rankings=((0, 1, 2),) * 3)
         lot, trace = plurality_veto(p)
         assert trace.winner == 0
         assert len(trace.events) == 3
@@ -89,7 +88,7 @@ class TestPluralityVeto:
     def test_absorbs_last_veto(self):
         p = Profile(
             m=3,
-            rankings=(Ranking((0, 1, 2)), Ranking((0, 1, 2)), Ranking((1, 2, 0))),
+            rankings=((0, 1, 2), (0, 1, 2), (1, 2, 0)),
         )
         lot, trace = plurality_veto(p)
         assert trace.winner == 0
@@ -114,7 +113,7 @@ class TestPrunedPluralityVeto:
         assert _point(pruned_plurality_veto(P2, 1.0)) == 1
 
     def test_unanimous_singleton(self):
-        p = Profile(m=4, rankings=(Ranking((2, 0, 1, 3)),) * 5)
+        p = Profile(m=4, rankings=((2, 0, 1, 3),) * 5)
         for eps in (0.1, 1.0, 4.0):
             assert _point(pruned_plurality_veto(p, eps)) == 2
 
@@ -128,7 +127,7 @@ class TestRandomDictatorship:
         assert np.allclose(random_dictatorship(P1).prob, [2 / 3, 1 / 3, 0.0])
 
     def test_unanimous(self):
-        p = Profile(m=3, rankings=(Ranking((1, 0, 2)),) * 3)
+        p = Profile(m=3, rankings=((1, 0, 2),) * 3)
         assert np.allclose(random_dictatorship(p).prob, [0.0, 1.0, 0.0])
 
     def test_top1(self):
@@ -138,11 +137,11 @@ class TestRandomDictatorship:
 
 class TestHarmonicRule:
     def test_single_agent(self):
-        p = Profile(m=3, rankings=(Ranking((0, 1, 2)),))
+        p = Profile(m=3, rankings=((0, 1, 2),))
         assert np.allclose(harmonic_rule(p).prob, [6 / 11, 3 / 11, 2 / 11])
 
     def test_two_agent_symmetry(self):
-        p = Profile(m=2, rankings=(Ranking((0, 1)), Ranking((1, 0))))
+        p = Profile(m=2, rankings=((0, 1), (1, 0)))
         assert np.allclose(harmonic_rule(p).prob, [0.5, 0.5])
 
     def test_normalized(self):
@@ -159,7 +158,7 @@ class TestHarmonicRule:
 
 class TestTruncatedHarmonic:
     def test_anchor_top_gives_point_mass(self):
-        p = Profile(m=3, rankings=(Ranking((0, 1, 2)),))
+        p = Profile(m=3, rankings=((0, 1, 2),))
         for eps in (0.5, 1.0, 5.5):
             assert np.allclose(truncated_harmonic(p, eps).prob, [1.0, 0.0, 0.0])
 
@@ -189,8 +188,8 @@ class TestTruncatedHarmonic:
             for eps in (1e-3, 0.5, 1.0, 2.0, 5.9):
                 rows = np.zeros((p.n, p.m))
                 for i, r in enumerate(p.rankings):
-                    cut = r.order.index(winner)
-                    for rank0, y in enumerate(r.order[:cut]):
+                    cut = r.index(winner)
+                    for rank0, y in enumerate(r[:cut]):
                         rows[i, y] = eps / (6.0 * h_m * (rank0 + 1))
                     rows[i, winner] = 1.0 - rows[i].sum()
                 got = truncated_harmonic(p, eps).prob
@@ -204,12 +203,12 @@ class TestTruncatedHarmonic:
 
 class TestTruncatedWeights:
     def test_mid_anchor_row(self):
-        p = Profile(m=3, rankings=(Ranking((0, 1, 2)),))
+        p = Profile(m=3, rankings=((0, 1, 2),))
         w = truncated_weights(p, 1)
         assert np.allclose(w.weights[0], [6 / 11, 5 / 11, 0.0])
 
     def test_top_anchor_point_mass(self):
-        p = Profile(m=3, rankings=(Ranking((0, 1, 2)),))
+        p = Profile(m=3, rankings=((0, 1, 2),))
         w = truncated_weights(p, 0)
         assert np.allclose(w.weights[0], [1.0, 0.0, 0.0])
 
