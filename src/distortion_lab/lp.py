@@ -9,7 +9,9 @@ support tests decide unbounded distortion before any program is built, and
 the metric oracle treats a program that is not optimal after that as an error.
 
 All variables are bounded below (default 0); rows compare ``<=``, ``=`` or
-``>=`` against the right-hand side.
+``>=`` against the right-hand side. An optimal outcome also carries the row
+duals, read off the final tableau, so a caller that solves the dual of its
+program gets the primal solution too (the metric oracle does).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 _RELATIONS = ("<=", "=", ">=")
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
 __all__ = ["LinearProgram", "LPOutcome", "solve"]
 
@@ -91,7 +94,14 @@ class LinearProgram:
 class LPOutcome:
     """Solver verdict.
 
-    ``optimal``: value and a feasible assignment (within 1e-7).
+    ``optimal``: value, a feasible assignment (within 1e-7) and ``duals``,
+    one per row, an optimal solution of the dual program. For a
+    maximization y >= 0 on ``<=`` rows, y <= 0 on ``>=`` rows and
+    y @ lhs >= objective; for a minimization all three are reversed; ``=``
+    rows are free. With zero lower bounds b @ y = value. So for
+    max{c @ x : A x <= b, x >= 0} they are the y >= 0 with y @ A >= c and
+    b @ y = value, and for min{c @ x : A x >= b, x >= 0} the y >= 0 with
+    y @ A <= c and b @ y = value.
     ``unbounded``: a feasible improving ray in original variable space.
     ``infeasible``: nothing else.
     """
@@ -100,6 +110,7 @@ class LPOutcome:
     value: float | None = None
     assignment: np.ndarray | None = None
     ray: np.ndarray | None = None
+    duals: np.ndarray | None = None
 
 
 def _dump_tableau(dump: IO[str], label: str, tab: np.ndarray, basis: list[int]):
@@ -112,7 +123,7 @@ def _pivot(tab: np.ndarray, row: int, col: int):
     tab[row] /= tab[row, col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
+    tab -= np.multiply.outer(factors, tab[row])
     tab[:, col] = 0.0
     tab[row, col] = 1.0
 
@@ -120,31 +131,41 @@ def _pivot(tab: np.ndarray, row: int, col: int):
 def _run_phase(
     tab: np.ndarray,
     basis: list[int],
-    allowed: np.ndarray,
+    n_allowed: int,
     max_pivots: int,
     dump: IO[str] | None,
 ) -> tuple[str, int | None]:
     """Pivot the bottom row to optimality or detect an unbounded column.
 
     Returns (OPTIMAL, None) or (UNBOUNDED, entering_column). The bottom row
-    holds reduced costs for a maximization; a column may enter while its
-    reduced cost is below -PIVOT_TOL.
+    holds reduced costs for a maximization; one of the first ``n_allowed``
+    columns may enter while its reduced cost is below -PIVOT_TOL.
     """
     n_rows = tab.shape[0] - 1
+    # Views stay current: pivots update tab in place.
+    reduced = tab[-1, :n_allowed]
+    rhs = tab[:n_rows, -1]
     for _ in range(max_pivots):
-        reduced = tab[-1, :-1]
-        eligible = np.nonzero((reduced < -PIVOT_TOL) & allowed)[0]
-        if eligible.size == 0:
+        eligible = reduced < -PIVOT_TOL
+        col = int(eligible.argmax())  # Bland: lowest eligible index
+        if not eligible[col]:
             return OPTIMAL, None
-        col = int(eligible[0])  # Bland: lowest eligible index
-        column = tab[:n_rows, col]
-        positive = np.nonzero(column > PIVOT_TOL)[0]
-        if positive.size == 0:
+        # The ratio test runs on Python floats: on the small tableaux that
+        # dominate, per-call numpy overhead costs more than the arithmetic.
+        ratios = [
+            (r / a, i)
+            for i, (a, r) in enumerate(zip(tab[:n_rows, col].tolist(), rhs.tolist()))
+            if a > PIVOT_TOL
+        ]
+        if not ratios:
             return UNBOUNDED, col
-        ratios = tab[positive, -1] / column[positive]
-        best = ratios.min()
-        ties = positive[ratios <= best + 1e-9 * (1.0 + abs(best))]
-        row = int(min(ties, key=lambda r: basis[r]))  # Bland: lowest basic index
+        best = min(ratios)[0]
+        cut = best + 1e-9 * (1.0 + abs(best))
+        ties = [i for q, i in ratios if q <= cut]
+        if len(ties) == 1:
+            row = ties[0]
+        else:
+            row = min(ties, key=basis.__getitem__)  # Bland: lowest basic index
         if dump is not None:
             dump.write(f"pivot: col {col} enters, row {row} (basic {basis[row]}) leaves\n")
         _pivot(tab, row, col)
@@ -168,6 +189,11 @@ def solve(lp: LinearProgram, *, dump: IO[str] | None = None) -> LPOutcome:
     Returns:
         An :class:`LPOutcome`. Optimal assignments satisfy every constraint
         within 1e-7 and the reported value equals the recomputed objective.
+        Optimal outcomes carry ``duals``, one per row: the final bottom row
+        at each row's slack column (``<=``), surplus column (``>=``, negated)
+        or artificial column (``=``), with the sign of any row flipped for a
+        negative right-hand side undone. A row dropped as redundant in
+        phase 1 gets 0.
     """
     n = lp.n_vars
     lb = lp.lower_bounds
@@ -178,11 +204,10 @@ def solve(lp: LinearProgram, *, dump: IO[str] | None = None) -> LPOutcome:
     c = lp.objective if lp.maximize else -lp.objective
 
     flip = b < 0
-    a[flip] *= -1.0
-    b = np.where(flip, -b, b)
-    rel = [
-        {"<=": ">=", ">=": "<=", "=": "="}[r] if f else r for r, f in zip(rel, flip)
-    ]
+    if flip.any():
+        a[flip] *= -1.0
+        b = np.where(flip, -b, b)
+        rel = [_FLIPPED[r] if f else r for r, f in zip(rel, flip)]
 
     n_rows = len(rel)
     slack_rows = [i for i, r in enumerate(rel) if r in ("<=", ">=")]
@@ -196,31 +221,36 @@ def solve(lp: LinearProgram, *, dump: IO[str] | None = None) -> LPOutcome:
     tab[:n_rows, :n] = a
     tab[:n_rows, -1] = b
     basis = [-1] * n_rows
+    # Row i's dual is dual_sign[i] times the bottom row at column dual_col[i].
+    sense = 1.0 if lp.maximize else -1.0
+    dual_col = [0] * n_rows
+    dual_sign = [-sense if f else sense for f in flip.tolist()]
     for k, i in enumerate(slack_rows):
         sign = 1.0 if rel[i] == "<=" else -1.0
         tab[i, n + k] = sign
+        dual_col[i] = n + k
+        dual_sign[i] *= sign
         if sign > 0:
             basis[i] = n + k
     for k, i in enumerate(art_rows):
         tab[i, art_start + k] = 1.0
         basis[i] = art_start + k
+        if rel[i] == "=":
+            dual_col[i] = art_start + k
 
     max_pivots = 10_000 + 100 * (n_rows + n_cols)
-    allowed = np.ones(n_cols, dtype=bool)
 
     if n_art:
         # Phase 1: maximize minus the artificial sum, starting from the
-        # all-artificial basis.
-        costs = np.zeros(n_cols)
-        costs[art_start:] = -1.0
-        tab[-1, :-1] = -costs
-        tab[-1, -1] = 0.0
-        for i in range(n_rows):
-            if costs[basis[i]] != 0.0:
-                tab[-1] += costs[basis[i]] * tab[i]
+        # all-artificial basis. The bottom row starts at minus the costs
+        # (-0 on the real and slack columns) and takes away each row whose
+        # artificial is basic, in row order (subtract.reduce folds left).
+        tab[-1, :art_start] = -0.0
+        tab[-1, art_start:-1] = 1.0
+        tab[-1] = np.subtract.reduce(tab[[n_rows] + art_rows], axis=0)
         if dump is not None:
             _dump_tableau(dump, "phase 1 start", tab, basis)
-        status, _ = _run_phase(tab, basis, allowed, max_pivots, dump)
+        status, _ = _run_phase(tab, basis, n_cols, max_pivots, dump)
         if status != OPTIMAL:
             raise RuntimeError("phase 1 is bounded by construction")
         if tab[-1, -1] < -FEAS_TOL:
@@ -241,20 +271,19 @@ def solve(lp: LinearProgram, *, dump: IO[str] | None = None) -> LPOutcome:
             tab = tab[keep + [n_rows]]
             basis = [basis[i] for i in keep]
             n_rows = len(basis)
-        allowed[art_start:] = False
 
     # Phase 2 bottom row: reduced costs of the real objective at the current
-    # basis.
-    costs = np.zeros(n_cols)
-    costs[:n] = c
-    tab[-1, :-1] = -costs
+    # basis, starting from minus the costs (-0 off the real columns).
+    tab[-1, :-1] = -0.0
+    tab[-1, :n] = -c
     tab[-1, -1] = 0.0
-    for i in range(n_rows):
-        if costs[basis[i]] != 0.0:
-            tab[-1] += costs[basis[i]] * tab[i]
+    costs = c.tolist()
+    for i, j in enumerate(basis):
+        if j < n and costs[j] != 0.0:
+            tab[-1] += costs[j] * tab[i]
     if dump is not None:
         _dump_tableau(dump, "phase 2 start", tab, basis)
-    status, entering = _run_phase(tab, basis, allowed, max_pivots, dump)
+    status, entering = _run_phase(tab, basis, art_start, max_pivots, dump)
 
     if status == UNBOUNDED:
         ray_ext = np.zeros(n_cols)
@@ -267,24 +296,23 @@ def solve(lp: LinearProgram, *, dump: IO[str] | None = None) -> LPOutcome:
         return LPOutcome(status=UNBOUNDED, ray=ray)
 
     y = np.zeros(n_cols)
-    for i in range(n_rows):
-        y[basis[i]] = tab[i, -1]
+    y[basis] = tab[:n_rows, -1]
     x = y[:n] + lb
     value = float(lp.objective @ x)
     _check_feasible(lp, x)
     if dump is not None:
         _dump_tableau(dump, "phase 2 end", tab, basis)
         dump.write(f"optimal value {value}\n")
-    return LPOutcome(status=OPTIMAL, value=value, assignment=x)
+    duals = np.array(dual_sign) * tab[-1, dual_col]
+    return LPOutcome(status=OPTIMAL, value=value, assignment=x, duals=duals)
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray):
     """Defensive post-check; a violation indicates a solver bug."""
     if (x < lp.lower_bounds - FEAS_TOL).any():
         raise RuntimeError("solver returned an assignment below a variable bound")
-    lhs = lp.lhs @ x
-    for i, r in enumerate(lp.relations):
-        resid = lhs[i] - lp.rhs[i]
+    residuals = (lp.lhs @ x - lp.rhs).tolist()
+    for i, (r, resid) in enumerate(zip(lp.relations, residuals)):
         ok = (
             resid <= FEAS_TOL
             if r == "<="

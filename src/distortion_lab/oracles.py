@@ -15,9 +15,10 @@ or unbounded, comes with a concrete witness instance.
   (the rule by which ``eval_distortion`` calls a zero-cost optimum
   unbounded). The witness puts every agent at distance 0 from Z(X*) and 1
   from everything else. Otherwise one program per X* maximizes the
-  expected cost with the cost of X* normalized to one. Its variables are
-  the n*m agent-alternative distances followed by m(m-1)/2 pair variables
-  e(X,Y), and besides the per-agent consistency rows it has the rows
+  expected cost with the cost of X* normalized to one:
+  max c.y s.t. A y <= 0, a_X*.y = 1, y >= 0. Its variables y are the n*m
+  agent-alternative distances followed by m(m-1)/2 pair variables
+  e(X,Y), and besides the per-agent consistency rows A has the rows
   d(i,X) - d(i,Y) <= e(X,Y) for every agent and ordered pair and
   e(X,Y) <= d(j,X) + d(j,Y) for every agent and unordered pair, which is
   3n*m(m-1)/2 rows against the n(n-1)*m(m-1) rows of the quadrilateral
@@ -26,7 +27,14 @@ or unbounded, comes with a concrete witness instance.
   bipartite distance grid exactly when it extends to a full pseudometric
   (the shortest-path closure provides the extension, and is what witness
   construction uses). Once the closure test has passed, the program is
-  bounded.
+  bounded, and its value is at least 1 (all distances equal). The oracle
+  solves its dual, min lambda s.t. A^T mu + a_X* lambda >= c,
+  mu, lambda >= 0, which has one row per variable y (nm + m(m-1)/2)
+  instead of one per row of A; bounding lambda by 0 loses nothing because
+  the primal value is positive. The row duals of the optimal dual are an
+  optimal y. They are checked against the primal (y >= 0, A y <= 0,
+  a_X*.y = 1, c.y equal to the dual value) and then closed into the
+  witness.
 
 * Utilitarian world. The distortion is unbounded iff no agent's top choice
   is in the lottery's support: only then can every agent put zero utility
@@ -252,38 +260,64 @@ def _metric_unbounded(lot: Lottery, p: Profile | TopTProfile) -> DistortionRepor
 
 
 def _metric_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
-    """Worst case over pseudometrics consistent with the given ballots."""
+    """Worst case over pseudometrics consistent with the given ballots.
+
+    Per candidate X* it solves the dual of max c.y s.t. A y <= 0,
+    a_X*.y = 1, y >= 0 (module docstring): min lambda s.t.
+    A^T mu + a_X* lambda >= c, mu, lambda >= 0, whose row duals are the
+    primal distances y. The winning y is checked against the primal before
+    it becomes the witness.
+    """
     unbounded = _metric_unbounded(lot, p)
     if unbounded is not None:
         return unbounded
     n, m = p.n, p.m
     nm = n * m
+    consistency = _consistency_rows(p)
     pairs = _pair_rows(n, m)
     nv = pairs.shape[1]
-    objective = np.zeros(nv)
-    objective[:nm] = np.tile(lot.prob, n)  # expected social cost coefficients
-    consistency = _consistency_rows(p)
-    lhs = np.zeros((consistency.shape[0] + pairs.shape[0] + 1, nv))
-    lhs[: consistency.shape[0], :nm] = consistency
-    lhs[consistency.shape[0] : -1] = pairs
-    # The last row, filled per candidate, normalizes sum_i d(i, x_star) to 1.
-    rel = ("<=",) * (lhs.shape[0] - 1) + ("=",)
-    rhs = np.zeros(lhs.shape[0])
-    rhs[-1] = 1.0
+    # The primal rows A over [distances | pair variables].
+    primal = np.zeros((consistency.shape[0] + pairs.shape[0], nv))
+    primal[: consistency.shape[0], :nm] = consistency
+    primal[consistency.shape[0] :] = pairs
+    cost = np.zeros(nv)
+    cost[:nm] = np.tile(lot.prob, n)  # expected social cost coefficients
+    # One dual row per primal variable; columns are mu, then lambda, whose
+    # column each candidate fills with a_X*.
+    lhs = np.zeros((nv, primal.shape[0] + 1))
+    lhs[:, :-1] = primal.T
+    objective = np.zeros(lhs.shape[1])
+    objective[-1] = 1.0
+    rel = (">=",) * nv
 
-    def candidate(x_star: int) -> tuple[float, tuple[int, np.ndarray]]:
+    def candidate(x_star: int) -> tuple[float, tuple[int, lp.LPOutcome]]:
         a = lhs.copy()
-        a[-1, x_star:nm:m] = 1.0
-        main = lp.solve(lp.LinearProgram(objective=objective, lhs=a, relations=rel, rhs=rhs))
-        if main.status != lp.OPTIMAL:
+        a[x_star:nm:m, -1] = 1.0
+        dual = lp.solve(
+            lp.LinearProgram(objective=objective, lhs=a, relations=rel, rhs=cost, maximize=False)
+        )
+        if dual.status != lp.OPTIMAL:
             raise RuntimeError(
-                f"metric program for x*={x_star} returned {main.status} "
-                "after the closure test found the distortion bounded"
+                f"dual metric program for x*={x_star} returned {dual.status}, so the "
+                "primal is unbounded or infeasible after the closure test found "
+                "the distortion bounded"
             )
-        return main.value, (x_star, main.assignment)
+        return dual.value, (x_star, dual)
 
-    best_value, (best_x, assignment) = _first_max(candidate(x) for x in range(m))
-    witness = _metric_closure(assignment[:nm].reshape(n, m), n, m)
+    best_value, (best_x, dual) = _first_max(candidate(x) for x in range(m))
+    y = dual.duals
+    tol = lp.FEAS_TOL
+    if not (
+        (y >= -tol).all()
+        and (primal @ y <= tol).all()
+        and abs(y[best_x:nm:m].sum() - 1.0) <= tol
+        and abs(cost @ y - best_value) <= 1e-9 * abs(best_value)
+    ):
+        raise RuntimeError(
+            f"metric program for x*={best_x}: the distances read from the dual "
+            "fail the primal certificate check"
+        )
+    witness = _metric_closure(y[:nm].reshape(n, m), n, m)
     return DistortionReport(
         value=DistortionValue.finite(max(best_value, 1.0)),
         witness=witness,

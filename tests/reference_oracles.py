@@ -14,6 +14,11 @@ that decides unboundedness by the LP alone. ``reference_utilitarian_lp`` is
 the route the library ran before its per-agent vertex choice: the support
 test, then the same program, raising where that route raised.
 
+``reference_metric_primal`` is the compact metric route the library ran
+before it solved the dual: the closure test, then per X* the primal
+max c.y s.t. A y <= 0, a_X*.y = 1, y >= 0 over the distances and the pair
+variables, the witness closed from the optimal y.
+
 The first two return ``witness=None`` when a main program is unbounded.
 They are kept to cross-check the library's compact metric program, its
 utilitarian vertex choice and its combinatorial unboundedness tests on
@@ -56,7 +61,10 @@ from distortion_lab.core import (
 from distortion_lab.oracles import (
     DistortionReport,
     _consistency_rows,
+    _first_max,
     _metric_closure,
+    _metric_unbounded,
+    _pair_rows,
     _utilitarian_unbounded,
 )
 from distortion_lab.rules import VetoTrace, harmonic_number, top_t_det_rule
@@ -139,6 +147,42 @@ def reference_metric_report(
     return DistortionReport(
         value=DistortionValue.finite(max(best_value, 1.0)),
         witness=witness,
+        arg_optimum=best_x,
+    )
+
+
+def reference_metric_primal(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
+    """Worst case over consistent pseudometrics via the primal compact program."""
+    unbounded = _metric_unbounded(lot, p)
+    if unbounded is not None:
+        return unbounded
+    n, m = p.n, p.m
+    nm = n * m
+    pairs = _pair_rows(n, m)
+    nv = pairs.shape[1]
+    objective = np.zeros(nv)
+    objective[:nm] = np.tile(lot.prob, n)
+    consistency = _consistency_rows(p)
+    lhs = np.zeros((consistency.shape[0] + pairs.shape[0] + 1, nv))
+    lhs[: consistency.shape[0], :nm] = consistency
+    lhs[consistency.shape[0] : -1] = pairs
+    # The last row, filled per candidate, normalizes sum_i d(i, x_star) to 1.
+    rel = ("<=",) * (lhs.shape[0] - 1) + ("=",)
+    rhs = np.zeros(lhs.shape[0])
+    rhs[-1] = 1.0
+
+    def candidate(x_star: int) -> tuple[float, tuple[int, np.ndarray]]:
+        a = lhs.copy()
+        a[-1, x_star:nm:m] = 1.0
+        main = lp.solve(lp.LinearProgram(objective=objective, lhs=a, relations=rel, rhs=rhs))
+        if main.status != lp.OPTIMAL:
+            raise RuntimeError(f"metric program for x*={x_star} returned {main.status}")
+        return main.value, (x_star, main.assignment)
+
+    best_value, (best_x, assignment) = _first_max(candidate(x) for x in range(m))
+    return DistortionReport(
+        value=DistortionValue.finite(max(best_value, 1.0)),
+        witness=_metric_closure(assignment[:nm].reshape(n, m), n, m),
         arg_optimum=best_x,
     )
 

@@ -173,3 +173,105 @@ class TestDegenerateAndRedundant:
         out = solve(_lp([1.0], [[1.0]], ("<=",), [3.0]), dump=buf)
         assert out.status == OPTIMAL
         assert "pivot" in buf.getvalue() or "tableau" in buf.getvalue()
+
+
+def _dual_case(case: int):
+    """A seeded feasible, bounded LP with <=, >= and = rows.
+
+    The rows pass through a random point x0 >= 0 (some coordinates 0), with
+    slack on the inequalities, so many right-hand sides are negative and get
+    flipped. A last row bounds sum(x) by 10, as a <= row or, on odd cases,
+    as -sum(x) >= -10 (a flipped >= row).
+    """
+    rng = np.random.default_rng(7_100 + case)
+    nv, nr = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+    lhs = rng.uniform(-1.0, 1.0, size=(nr, nv))
+    rel = [str(r) for r in rng.choice(["<=", ">=", "="], size=nr)]
+    x0 = rng.uniform(0.0, 1.0, size=nv) * (rng.random(nv) < 0.7)
+    slack = rng.uniform(0.0, 1.0, size=nr)
+    sign = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[r] for r in rel])
+    rhs = lhs @ x0 + sign * slack
+    bound = np.ones(nv) if case % 2 == 0 else -np.ones(nv)
+    lhs = np.vstack([lhs, bound])
+    rel.append("<=" if case % 2 == 0 else ">=")
+    rhs = np.append(rhs, 10.0 if case % 2 == 0 else -10.0)
+    objective = rng.uniform(-1.0, 1.0, size=nv)
+    return _lp(objective, lhs, rel, rhs, maximize=bool(case % 4 < 2))
+
+
+def _dual_problems(lp: LinearProgram, out) -> list[str]:
+    """Dual feasibility, complementary slackness and b @ y = value."""
+    a, b, c = lp.lhs, lp.rhs, lp.objective
+    x, y = out.assignment, out.duals
+    sense = 1.0 if lp.maximize else -1.0
+    rel = np.array(lp.relations)
+    problems = []
+    # For a maximization y >= 0 on <= rows, y <= 0 on >= rows, y @ A >= c.
+    if (sense * y[rel == "<="] < -1e-7).any() or (sense * y[rel == ">="] > 1e-7).any():
+        problems.append("a dual has the wrong sign")
+    reduced = sense * (y @ a - c)
+    if (reduced < -1e-7).any():
+        problems.append("y @ A violates the objective")
+    if (np.abs(y * (a @ x - b)) > 1e-7).any():
+        problems.append("a slack row has a nonzero dual")
+    if (np.abs(x * reduced) > 1e-7).any():
+        problems.append("a positive variable has a nonzero reduced cost")
+    if abs(b @ y - out.value) > 1e-6 * max(1.0, abs(out.value)):
+        problems.append(f"b @ y = {b @ y} but the value is {out.value}")
+    return problems
+
+
+class TestDuals:
+    def test_seeded_random_lps(self):
+        failures, flipped, senses = [], 0, set()
+        for case in range(200):
+            lp = _dual_case(case)
+            out = solve(lp)
+            assert out.status == OPTIMAL, case
+            assert out.duals.shape == (lp.n_rows,)
+            flipped += int((lp.rhs < 0).sum())
+            senses.add(lp.maximize)
+            failures += [(case, p) for p in _dual_problems(lp, out)]
+        assert failures == []
+        # The sampler must exercise flipped rows and both senses.
+        assert flipped >= 200 and senses == {True, False}
+
+    def test_covers_every_relation_with_nonzero_duals(self):
+        active = {"<=": 0, ">=": 0, "=": 0}
+        for case in range(200):
+            lp = _dual_case(case)
+            out = solve(lp)
+            for r, y in zip(lp.relations, out.duals):
+                active[r] += abs(y) > 1e-6
+        assert min(active.values()) >= 20, active
+
+    def test_textbook_max(self):
+        # max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18: y = (0, 3/2, 1).
+        out = solve(
+            _lp([3.0, 5.0], [[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]], ("<=",) * 3, [4.0, 12.0, 18.0])
+        )
+        assert out.value == pytest.approx(36.0)
+        assert out.duals.tolist() == pytest.approx([0.0, 1.5, 1.0])
+
+    def test_min_with_ge_rows_has_nonnegative_duals(self):
+        # min 2x + y s.t. x + y >= 4, x >= 1: y = (1, 1), b @ y = 5.
+        out = solve(
+            _lp([2.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], (">=", ">="), [4.0, 1.0], maximize=False)
+        )
+        assert out.value == pytest.approx(5.0)
+        assert out.duals.tolist() == pytest.approx([1.0, 1.0])
+
+    def test_redundant_equality_rows(self):
+        lp = _lp(
+            [1.0, 0.0],
+            [[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]],
+            ("=", "=", "<="),
+            [2.0, 2.0, 1.5],
+        )
+        out = solve(lp)
+        assert out.status == OPTIMAL
+        assert _dual_problems(lp, out) == []
+
+    def test_only_optimal_outcomes_carry_duals(self):
+        assert solve(_lp([1.0], np.empty((0, 1)), (), [])).duals is None
+        assert solve(_lp([1.0], [[1.0]], ("<=",), [-1.0])).duals is None

@@ -10,6 +10,7 @@ import distortion_lab as dl
 from conftest import random_lottery
 from reference_oracles import (
     reference_completion_max,
+    reference_metric_primal,
     reference_metric_report,
     reference_utilitarian_lp,
     reference_utilitarian_report,
@@ -220,16 +221,16 @@ class TestReferenceCrossCheck:
         assert mismatches == []
 
 
-def _three_route_cases(count: int):
-    """Seeded cases: n <= 5, m <= 5, a third top-t, cubed weights.
+def _three_route_cases(count: int, seed: int = 47_000, n_max: int = 5):
+    """Seeded cases: n <= n_max, m <= 5, a third top-t, cubed weights.
 
     About 30% of the weights are zero. Every other lottery then gets one
     mass between 1e-10 and 1e-7, half of the time on agent 0's top choice.
     """
     for case in range(count):
-        rng = np.random.default_rng(47_000 + case)
-        n, m = int(rng.integers(1, 6)), int(rng.integers(2, 6))
-        p = dl.random_profile(n, m, seed=47_000 + case)
+        rng = np.random.default_rng(seed + case)
+        n, m = int(rng.integers(1, n_max + 1)), int(rng.integers(2, 6))
+        p = dl.random_profile(n, m, seed=seed + case)
         top = p.rankings[0][0]
         if case % 3 == 0:
             p = dl.truncate_profile(p, int(rng.integers(1, m)))
@@ -284,6 +285,64 @@ class TestThreeRouteCrossCheck:
             f"utilitarian three-route cross-check: {count} cases, 0 mismatches; "
             f"the LP reference raised on {len(lp_raised)} (cases {lp_raised})"
         )
+
+
+class TestDualCrossCheck:
+    """The dual metric program against the primal it replaced."""
+
+    def test_matches_primal(self, acceptance_notes):
+        count, finite, mismatches = 330, 0, []
+        for case, lot, p in _three_route_cases(count, seed=53_000, n_max=6):
+            got = metric_distortion(lot, p)
+            assert dl.is_metric_consistent(got.witness, p), case
+            evaluated = dl.eval_distortion(lot, got.witness)
+            assert evaluated.is_unbounded == got.value.is_unbounded, case
+            if got.value.is_finite:
+                finite += 1
+                assert abs(evaluated.value - got.value.value) <= 1e-5, case
+            want = reference_metric_primal(lot, p)
+            same = got.value.is_unbounded == want.value.is_unbounded
+            if same and got.value.is_unbounded:
+                same = got.arg_optimum == want.arg_optimum
+            elif same:
+                gap = abs(got.value.value - want.value.value) / want.value.value
+                # Another optimum may win only if its value ties the best.
+                same = gap <= 1e-6 and (got.arg_optimum == want.arg_optimum or gap <= 1e-9)
+            if not same:
+                mismatches.append((case, got.value, want.value, got.arg_optimum, want.arg_optimum))
+        assert mismatches == []
+        # Most cases must reach the programs for the check to count.
+        assert finite >= count // 2
+        acceptance_notes.append(
+            f"metric dual/primal cross-check: {count} cases ({finite} finite), "
+            f"{len(mismatches)} mismatches"
+        )
+
+
+class TestMetricProgramShape:
+    """The oracle solves the dual: one row per primal variable, m programs."""
+
+    def test_dual_shape(self, monkeypatch):
+        n, m = 5, 4
+        p = dl.random_profile(n, m, seed=3)
+        lot = dl.truncated_harmonic(p)
+        seen = []
+        solve = dl.lp.solve
+
+        def recording(prog, **kwargs):
+            seen.append(prog)
+            return solve(prog, **kwargs)
+
+        monkeypatch.setattr(dl.lp, "solve", recording)
+        rep = metric_distortion(lot, p)
+        assert rep.value.is_finite
+        assert len(seen) == m
+        consistency_rows = n * (m - 1)
+        pair_rows = n * m * (m - 1) + n * m * (m - 1) // 2
+        for prog in seen:
+            assert prog.n_rows == n * m + m * (m - 1) // 2
+            assert prog.n_vars == consistency_rows + pair_rows + 1
+            assert set(prog.relations) == {">="} and not prog.maximize
 
 
 def _completion_cases(count: int, max_completions: int = 16):
