@@ -322,6 +322,8 @@ def _parse_sweep_config(path) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise CliError(EXIT_BAD_PARAMS, f"--jobs needs N >= 1, got {args.jobs}")
     items = []
     try:
         config = _parse_sweep_config(args.config)
@@ -386,6 +388,8 @@ def cmd_reproduce(args) -> int:
         raise CliError(EXIT_BAD_PARAMS, f"need n >= 1 and m >= 1, got n={n}, m={m}")
     if args.sample is not None and args.sample < 1:
         raise CliError(EXIT_BAD_PARAMS, f"--sample needs K >= 1, got {args.sample}")
+    if args.seed < 0:
+        raise CliError(EXIT_BAD_PARAMS, f"--seed needs an integer >= 0, got {args.seed}")
     # Every rule that takes full rankings and needs no parameter.
     reproducible = tuple(
         rid

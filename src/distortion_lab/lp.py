@@ -3,10 +3,10 @@
 The solver favors reproducibility over speed: Bland's anti-cycling rule picks
 the lowest-eligible entering column and breaks ratio-test ties by the lowest
 basic variable index, so identical inputs always take the identical pivot
-path. Unboundedness is a first-class outcome and carries an improving ray.
-The worst-case oracles do not read it as a distortion signal: closure and
-support tests decide unbounded distortion before any program is built, and
-the metric oracle treats a program that is not optimal after that as an error.
+path. Unboundedness is a first-class outcome, but the worst-case oracles do
+not read it as a distortion signal: closure and support tests decide
+unbounded distortion before any program is built, and the metric oracle
+treats a program that is not optimal after that as an error.
 
 All variables are bounded below (default 0); rows compare ``<=``, ``=`` or
 ``>=`` against the right-hand side. An optimal outcome also carries the row
@@ -102,14 +102,12 @@ class LPOutcome:
     max{c @ x : A x <= b, x >= 0} they are the y >= 0 with y @ A >= c and
     b @ y = value, and for min{c @ x : A x >= b, x >= 0} the y >= 0 with
     y @ A <= c and b @ y = value.
-    ``unbounded``: a feasible improving ray in original variable space.
-    ``infeasible``: nothing else.
+    ``unbounded`` and ``infeasible``: nothing else.
     """
 
     status: str
     value: float | None = None
     assignment: np.ndarray | None = None
-    ray: np.ndarray | None = None
     duals: np.ndarray | None = None
 
 
@@ -286,14 +284,9 @@ def solve(lp: LinearProgram, *, dump: IO[str] | None = None) -> LPOutcome:
     status, entering = _run_phase(tab, basis, art_start, max_pivots, dump)
 
     if status == UNBOUNDED:
-        ray_ext = np.zeros(n_cols)
-        ray_ext[entering] = 1.0
-        for i in range(n_rows):
-            ray_ext[basis[i]] = -tab[i, entering]
-        ray = ray_ext[:n]
         if dump is not None:
             dump.write(f"unbounded along column {entering}\n")
-        return LPOutcome(status=UNBOUNDED, ray=ray)
+        return LPOutcome(status=UNBOUNDED)
 
     y = np.zeros(n_cols)
     y[basis] = tab[:n_rows, -1]

@@ -18,12 +18,15 @@ or unbounded, comes with a concrete witness instance.
   expected cost with the cost of X* normalized to one:
   max c.y s.t. A y <= 0, a_X*.y = 1, y >= 0. Its variables y are the n*m
   agent-alternative distances followed by m(m-1)/2 pair variables
-  e(X,Y), and besides the per-agent consistency rows A has the rows
-  d(i,X) - d(i,Y) <= e(X,Y) for every agent and ordered pair and
-  e(X,Y) <= d(j,X) + d(j,Y) for every agent and unordered pair, which is
-  3n*m(m-1)/2 rows against the n(n-1)*m(m-1) rows of the quadrilateral
-  block they replace. Eliminating e leaves exactly the quadrilateral
-  conditions d(i,X) <= d(i,Y) + d(j,Y) + d(j,X), which hold for a
+  e(X,Y). A has the n(m-1) consistency-chain rows, the rows
+  d(i,X) - d(i,Y) <= e(X,Y) for every agent and ordered pair that the
+  ballot does not rank X above Y (the chain and e >= 0 imply the others),
+  and e(X,Y) <= d(j,X) + d(j,Y) for every agent and unordered pair. That
+  is R = n(m-1) + n*m(m-1) + n(m-t)(m-t-1)/2 rows for top-t ballots
+  (t = m for full ones; 120 at n=8, m=4), against the n(n-1)*m(m-1) rows
+  of the quadrilateral block they replace. Given the chain, eliminating e
+  leaves exactly the quadrilateral conditions
+  d(i,X) <= d(i,Y) + d(j,Y) + d(j,X), which hold for a
   bipartite distance grid exactly when it extends to a full pseudometric
   (the shortest-path closure provides the extension, and is what witness
   construction uses). Once the closure test has passed, the program is
@@ -70,7 +73,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
@@ -156,56 +158,41 @@ class DistortionReport:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _pair_rows(n: int, m: int) -> np.ndarray:
-    """Rows tying the pair variables e(X,Y) to the distance grid.
+def _metric_rows(p: Profile | TopTProfile) -> np.ndarray:
+    """The rows A of the metric program, each <= 0 (module docstring).
 
     Columns are the n*m distances d(i,X) at i*m+X, then one e(X,Y) per
-    unordered pair X<Y in lexicographic order. The rows encode
-    d(i,X) - d(i,Y) - e(X,Y) <= 0 for every agent and ordered pair X!=Y,
-    then e(X,Y) - d(j,X) - d(j,Y) <= 0 for every agent and unordered pair.
-    Eliminating e gives |d(i,X) - d(i,Y)| <= d(j,X) + d(j,Y) for all i, j:
-    the quadrilateral conditions under which the grid extends to a
-    pseudometric (the i == j cases follow from d >= 0). Cached per shape:
-    the rows do not depend on the profile.
+    unordered pair X<Y in lexicographic order. The rows are each agent's
+    consistency chain d(i, better) - d(i, worse); then
+    d(i,X) - d(i,Y) - e(X,Y) for every agent and ordered pair X != Y that
+    the ballot does not rank X above Y, counting an unranked alternative as
+    rank m so that two unranked ones keep both directions (a skipped row
+    follows from the chain and e >= 0); then e(X,Y) - d(j,X) - d(j,Y) for
+    every agent and unordered pair.
     """
+    n, m = p.n, p.m
     nm = n * m
     pair_col = {
         pair: nm + k for k, pair in enumerate(itertools.combinations(range(m), 2))
     }
-    rows = []
+    # Each row as its +1 column followed by its -1 columns.
+    rows: list[tuple[int, ...]] = []
     for i in range(n):
-        for x, y in itertools.permutations(range(m), 2):
-            row = np.zeros(nm + len(pair_col))
-            row[i * m + x] = 1.0
-            row[i * m + y] = -1.0
-            row[pair_col[min(x, y), max(x, y)]] = -1.0
-            rows.append(row)
+        rows += ((i * m + b, i * m + w) for b, w in _consistency_chain(p, i))
+    for i, ballot in enumerate(p.ballots):
+        rank = {x: k for k, x in enumerate(ballot)}
+        rows += (
+            (i * m + x, i * m + y, pair_col[min(x, y), max(x, y)])
+            for x, y in itertools.permutations(range(m), 2)
+            if rank.get(x, m) >= rank.get(y, m)
+        )
     for j in range(n):
-        for (x, y), col in pair_col.items():
-            row = np.zeros(nm + len(pair_col))
-            row[col] = 1.0
-            row[j * m + x] = -1.0
-            row[j * m + y] = -1.0
-            rows.append(row)
-    if not rows:
-        return np.zeros((0, nm))
-    return np.asarray(rows)
-
-
-def _consistency_rows(p: Profile | TopTProfile) -> np.ndarray:
-    """Rows encoding d(i, better) - d(i, worse) <= 0 along each ballot."""
-    n, m = p.n, p.m
-    rows = []
-    for i in range(n):
-        for better, worse in _consistency_chain(p, i):
-            row = np.zeros(n * m)
-            row[i * m + better] = 1.0
-            row[i * m + worse] = -1.0
-            rows.append(row)
-    if not rows:
-        return np.zeros((0, n * m))
-    return np.asarray(rows)
+        rows += ((col, j * m + x, j * m + y) for (x, y), col in pair_col.items())
+    nv = nm + len(pair_col)
+    a = np.zeros((len(rows), nv))
+    a.flat[[r * nv + row[0] for r, row in enumerate(rows)]] = 1.0
+    a.flat[[r * nv + c for r, row in enumerate(rows) for c in row[1:]]] = -1.0
+    return a
 
 
 def _metric_closure(grid: np.ndarray, n: int, m: int) -> MetricSpace:
@@ -265,21 +252,18 @@ def _metric_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
     Per candidate X* it solves the dual of max c.y s.t. A y <= 0,
     a_X*.y = 1, y >= 0 (module docstring): min lambda s.t.
     A^T mu + a_X* lambda >= c, mu, lambda >= 0, whose row duals are the
-    primal distances y. The winning y is checked against the primal before
-    it becomes the witness.
+    primal distances y. The dual block A^T | a_X* is nm + m(m-1)/2 rows by
+    R + 1 columns, R = n(m-1) + n*m(m-1) + n(m-t)(m-t-1)/2 (38 x 121 at
+    n=8, m=4 with full ballots). The winning y is checked against the
+    primal before it becomes the witness.
     """
     unbounded = _metric_unbounded(lot, p)
     if unbounded is not None:
         return unbounded
     n, m = p.n, p.m
     nm = n * m
-    consistency = _consistency_rows(p)
-    pairs = _pair_rows(n, m)
-    nv = pairs.shape[1]
-    # The primal rows A over [distances | pair variables].
-    primal = np.zeros((consistency.shape[0] + pairs.shape[0], nv))
-    primal[: consistency.shape[0], :nm] = consistency
-    primal[consistency.shape[0] :] = pairs
+    primal = _metric_rows(p)
+    nv = primal.shape[1]
     cost = np.zeros(nv)
     cost[:nm] = np.tile(lot.prob, n)  # expected social cost coefficients
     # One dual row per primal variable; columns are mu, then lambda, whose

@@ -17,7 +17,9 @@ test, then the same program, raising where that route raised.
 ``reference_metric_primal`` is the compact metric route the library ran
 before it solved the dual: the closure test, then per X* the primal
 max c.y s.t. A y <= 0, a_X*.y = 1, y >= 0 over the distances and the pair
-variables, the witness closed from the optimal y.
+variables, the witness closed from the optimal y. Its A keeps both
+directions of every pair row for every agent (``_pair_rows``), where the
+library drops the direction each ballot implies.
 
 The first two return ``witness=None`` when a main program is unbounded.
 They are kept to cross-check the library's compact metric program, its
@@ -60,16 +62,66 @@ from distortion_lab.core import (
 )
 from distortion_lab.oracles import (
     DistortionReport,
-    _consistency_rows,
     _first_max,
     _metric_closure,
     _metric_unbounded,
-    _pair_rows,
     _utilitarian_unbounded,
 )
 from distortion_lab.rules import VetoTrace, harmonic_number, top_t_det_rule
 
 DEGENERACY_TOL = 1e-7
+
+
+@lru_cache(maxsize=64)
+def _pair_rows(n: int, m: int) -> np.ndarray:
+    """Rows tying the pair variables e(X,Y) to the distance grid.
+
+    Columns are the n*m distances d(i,X) at i*m+X, then one e(X,Y) per
+    unordered pair X<Y in lexicographic order. The rows encode
+    d(i,X) - d(i,Y) - e(X,Y) <= 0 for every agent and ordered pair X!=Y,
+    then e(X,Y) - d(j,X) - d(j,Y) <= 0 for every agent and unordered pair.
+    Eliminating e gives |d(i,X) - d(i,Y)| <= d(j,X) + d(j,Y) for all i, j:
+    the quadrilateral conditions under which the grid extends to a
+    pseudometric (the i == j cases follow from d >= 0). Every direction of
+    every pair is kept, including those a ballot already implies.
+    """
+    nm = n * m
+    pair_col = {
+        pair: nm + k for k, pair in enumerate(itertools.combinations(range(m), 2))
+    }
+    rows = []
+    for i in range(n):
+        for x, y in itertools.permutations(range(m), 2):
+            row = np.zeros(nm + len(pair_col))
+            row[i * m + x] = 1.0
+            row[i * m + y] = -1.0
+            row[pair_col[min(x, y), max(x, y)]] = -1.0
+            rows.append(row)
+    for j in range(n):
+        for (x, y), col in pair_col.items():
+            row = np.zeros(nm + len(pair_col))
+            row[col] = 1.0
+            row[j * m + x] = -1.0
+            row[j * m + y] = -1.0
+            rows.append(row)
+    if not rows:
+        return np.zeros((0, nm))
+    return np.asarray(rows)
+
+
+def _consistency_rows(p: Profile | TopTProfile) -> np.ndarray:
+    """Rows encoding d(i, better) - d(i, worse) <= 0 along each ballot."""
+    n, m = p.n, p.m
+    rows = []
+    for i in range(n):
+        for better, worse in _consistency_chain(p, i):
+            row = np.zeros(n * m)
+            row[i * m + better] = 1.0
+            row[i * m + worse] = -1.0
+            rows.append(row)
+    if not rows:
+        return np.zeros((0, n * m))
+    return np.asarray(rows)
 
 
 @lru_cache(maxsize=64)

@@ -414,6 +414,28 @@ class TestSweep:
         assert str(cfg) in err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one(self, tmp_path, jobs):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run_cli(
+            ["sweep", "--config", str(cfg), "--output", str(out_csv), "--jobs", jobs]
+        )
+        assert code == 4 and out == ""
+        assert "--jobs" in err
+        assert not out_csv.exists()
+
+    def test_one_alternative_cell(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, grid=[{"n": 2, "m": 1}])))
+        out_csv = tmp_path / "o.csv"
+        code, out, _ = run_cli(["sweep", "--config", str(cfg), "--output", str(out_csv)])
+        assert code == 0 and out == ""
+        body = list(csv.reader(out_csv.read_text().splitlines()))[1:]
+        assert len(body) == 4
+        assert all(r[6] == "1.0" and r[7] == "0" for r in body)
+
     def test_jobs_do_not_change_bytes(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(self.CONFIG))
@@ -477,6 +499,16 @@ class TestReproduce:
         )
         assert code == 4 and out == ""
         assert "--sample" in err
+        assert not out_csv.exists()
+
+    def test_negative_seed(self, tmp_path):
+        out_csv = tmp_path / "t.csv"
+        code, out, err = run_cli(
+            ["reproduce", "--n", "9", "--m", "9", "--output", str(out_csv),
+             "--sample", "2", "--seed", "-5"]
+        )
+        assert code == 4 and out == ""
+        assert "--seed" in err
         assert not out_csv.exists()
 
     def test_unknown_rule_filter(self, tmp_path):

@@ -33,8 +33,6 @@ class TestBasics:
     def test_unbounded_no_ceiling(self):
         out = solve(_lp([1.0], np.empty((0, 1)), (), []))
         assert out.status == UNBOUNDED
-        assert out.ray is not None
-        assert out.ray[0] > 0
 
     def test_infeasible_contradiction(self):
         out = solve(_lp([1.0], [[1.0]], ("<=",), [-1.0]))
@@ -81,18 +79,6 @@ class TestBasics:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             _lp([np.inf], [[1.0]], ("<=",), [1.0])
-
-
-class TestUnboundedRay:
-    def test_ray_improves_and_stays_feasible(self):
-        # max x + y s.t. x - y <= 1: the ray climbs the diagonal.
-        lp = _lp([1.0, 1.0], [[1.0, -1.0]], ("<=",), [1.0])
-        out = solve(lp)
-        assert out.status == UNBOUNDED
-        ray = out.ray
-        assert ray is not None and (ray >= -1e-9).all()
-        assert np.asarray(lp.objective) @ ray > 0
-        assert (np.asarray(lp.lhs) @ ray <= 1e-9).all()
 
 
 class TestAgainstScipy:

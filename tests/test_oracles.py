@@ -320,7 +320,13 @@ class TestDualCrossCheck:
 
 
 class TestMetricProgramShape:
-    """The oracle solves the dual: one row per primal variable, m programs."""
+    """The oracle solves the dual: one row per primal variable, m programs.
+
+    The primal has n(m-1) consistency rows, n*m(m-1)/2 pair rows
+    d(i,X) - d(i,Y) <= e(X,Y) that the ballots do not imply, n(m-t)(m-t-1)/2
+    more for the second direction of two unranked alternatives, and
+    n*m(m-1)/2 rows e(X,Y) <= d(j,X) + d(j,Y); one more dual column is lambda.
+    """
 
     def test_dual_shape(self, monkeypatch):
         n, m = 5, 4
@@ -338,11 +344,30 @@ class TestMetricProgramShape:
         assert rep.value.is_finite
         assert len(seen) == m
         consistency_rows = n * (m - 1)
-        pair_rows = n * m * (m - 1) + n * m * (m - 1) // 2
+        pair_rows = n * m * (m - 1) // 2 + n * m * (m - 1) // 2
         for prog in seen:
             assert prog.n_rows == n * m + m * (m - 1) // 2
             assert prog.n_vars == consistency_rows + pair_rows + 1
             assert set(prog.relations) == {">="} and not prog.maximize
+
+    @pytest.mark.parametrize("t, rows", [(1, 90), (2, 80), (3, 75)])
+    def test_top_t_dual_shape(self, monkeypatch, t, rows):
+        n, m = 5, 4
+        p = dl.truncate_profile(dl.random_profile(n, m, seed=3), t)
+        seen = []
+        solve = dl.lp.solve
+
+        def recording(prog, **kwargs):
+            seen.append(prog)
+            return solve(prog, **kwargs)
+
+        monkeypatch.setattr(dl.lp, "solve", recording)
+        assert metric_distortion(dl.random_dictatorship(p), p).value.is_finite
+        assert len(seen) == m
+        assert rows == n * (m - 1) + n * m * (m - 1) + n * (m - t) * (m - t - 1) // 2
+        for prog in seen:
+            assert prog.n_rows == n * m + m * (m - 1) // 2
+            assert prog.n_vars == rows + 1
 
 
 def _completion_cases(count: int, max_completions: int = 16):
@@ -533,6 +558,27 @@ class TestTieResolution:
         assert _first_max([(1e8, "a"), (1e8 * (1 + 5e-12), "b")])[1] == "b"
         assert _first_max([(0.5, "a"), (0.5 + 5e-13, "b")]) == (0.5, "a")
         assert _first_max([(1.0, "a"), (math.inf, "b"), (math.inf, "c")]) == (math.inf, "b")
+
+
+class TestOneAlternative:
+    """m = 1: the metric program has no pair variable and no row at all."""
+
+    P = Profile(1, ((0,), (0,)))
+
+    @pytest.mark.parametrize("oracle", [metric_distortion, utilitarian_distortion])
+    def test_value_one_with_witness(self, oracle):
+        lot = Lottery.point_mass(1, 0)
+        rep = oracle(lot, self.P)
+        assert rep.value == dl.DistortionValue.finite(1.0)
+        assert rep.arg_optimum == 0
+        assert rep.witness is not None
+        assert dl.eval_distortion(lot, rep.witness).value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("world", ["metric", "utilitarian"])
+    def test_exhaustive(self, world):
+        value, profile = exhaustive_worst_case(dl.plurality, 2, 1, world)
+        assert value.value == 1.0
+        assert profile == self.P
 
 
 class TestReportSerialization:
