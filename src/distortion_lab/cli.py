@@ -363,8 +363,10 @@ def cmd_sweep(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_BAD_INSTANCE, f"malformed sweep config: {exc!r}")
 
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # No more workers than cells; one worker (or no cell) runs in-process.
+    workers = min(args.jobs, len(items))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, items))
     else:
         results = [_sweep_worker(item) for item in items]
@@ -553,7 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="record wall-clock runtime_ms (off by default to keep output byte-deterministic)",
     )
-    sweep.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    sweep.add_argument(
+        "--jobs", type=int, default=1, help="parallel worker processes, at most one per cell"
+    )
     sweep.set_defaults(func=cmd_sweep)
 
     reproduce = subs.add_parser(

@@ -3,8 +3,10 @@
 Agents and alternatives are integer-indexed from 0. Ballots are either full
 strict rankings or ordered top-t prefixes; both kinds store each ballot once,
 as a plain tuple of ints, best first (``Profile.rankings``,
-``TopTProfile.prefixes``), and are read through one view: ``p.ballots[i]``
-and ``p.unranked(i)``; a full ranking is a prefix with nothing unranked.
+``TopTProfile.prefixes``), and are read through one view: ``p.ballots[i]``,
+``p.unranked(i)`` and the (n, m) array ``p.positions`` of each
+alternative's place on each ballot (m if unranked); a full ranking is a
+prefix with nothing unranked.
 A cardinal instance is one of:
 
 * a :class:`MetricSpace`, a pseudometric over the n agents followed by the
@@ -62,6 +64,13 @@ def _int_ballots(ballots) -> tuple[tuple[int, ...], ...]:
     return coerced
 
 
+def _positions(ballots: tuple[tuple[int, ...], ...], m: int) -> np.ndarray:
+    pos = np.full((len(ballots), m), m, dtype=np.int64)
+    for i, ballot in enumerate(ballots):
+        pos[i, list(ballot)] = np.arange(len(ballot))
+    return pos
+
+
 @dataclass(frozen=True)
 class Profile:
     """n full rankings over m alternatives."""
@@ -88,10 +97,7 @@ class Profile:
     @cached_property
     def positions(self) -> np.ndarray:
         """(n, m) array: positions[i, x] is agent i's 0-based position of x."""
-        pos = np.empty((self.n, self.m), dtype=np.int64)
-        for i, ranking in enumerate(self.rankings):
-            pos[i, list(ranking)] = np.arange(self.m)
-        return pos
+        return _positions(self.rankings, self.m)
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,12 @@ class TopTProfile:
     def unranked(self, i: int) -> tuple[int, ...]:
         ranked = set(self.prefixes[i])
         return tuple(x for x in range(self.m) if x not in ranked)
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """(n, m) array: positions[i, x] is agent i's 0-based position of x,
+        m if x is unranked."""
+        return _positions(self.prefixes, self.m)
 
 
 def validate_profile(p: Profile | TopTProfile) -> list[str]:

@@ -50,7 +50,13 @@ or unbounded, comes with a concrete witness instance.
   vertex: uniform mass on the top k of its ballot, or on its whole prefix
   plus the unranked alternatives of largest gain [y = X*] - lambda * p_y.
   lambda becomes that combination's ratio until it stops rising; the final
-  combination is the witness.
+  combination is the witness. Each step is taken for all agents at once
+  on the (n, m) rank matrix ``p.positions`` (rank m if unranked): every
+  agent's order is its ballot followed by its unranked alternatives by
+  gain, ties by index, and its k is the first maximum of the running mean
+  gains along that order. The sums run left to right per agent and the
+  first maximum wins, as in a loop over agents, so the result is the same
+  to the bit.
 
 A brute-force twin for full ballots scans all m^n combinations of the same
 vertices, checking the per-agent choice against the whole product.
@@ -351,30 +357,42 @@ def _utilitarian_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionRep
     """Worst case over unit-sum utility profiles consistent with the ballots.
 
     Dinkelbach's iteration (module docstring) per x* from lambda = 0, until
-    lambda rises by at most a relative 1e-12. A vertex is uniform on the
-    first k of the ballot followed by the unranked alternatives by gain
-    (ties by index), ties between vertices going to the smallest k. Every
-    vertex holds the agent's top choice, so after the support test the
-    expected welfare is positive; at lambda = 0 every best vertex holds x*,
-    so the first ratio is positive and the loop keeps a combination.
+    lambda rises by at most a relative 1e-12. Each step serves all agents
+    at once. ``rank = p.positions`` holds x's place on agent i's ballot at
+    [i, x], m if x is unranked. Per lambda, one stable sort of the gains
+    places the unranked alternatives by gain (ties by index) after every
+    ballot. Running means of the gains along each agent's order give its k
+    (the first maximum, so ties between vertices go to the smallest k), and
+    its vertex is uniform on its first k alternatives. Every agent's
+    cumulative sum runs left to right, the argmax keeps the first maximum
+    and 1/k is the same double, just as in a loop over the agents, so the
+    vertices are the same bits. Every vertex holds the agent's top choice,
+    so after the support test the expected welfare is positive; at
+    lambda = 0 every best vertex holds x*, so the first ratio is positive
+    and the loop keeps a combination.
     """
     unbounded = _utilitarian_unbounded(lot, p)
     if unbounded is not None:
         return unbounded
     n, m = p.n, p.m
-    unranked = [p.unranked(i) for i in range(n)]
+    rank = p.positions
+    ranked = rank < m
+    agents = np.arange(n)[:, None]
     sizes = np.arange(1, m + 1)
+    after = m + np.arange(m)
 
     def candidate(x_star: int) -> tuple[float, tuple[int, np.ndarray]]:
         lam, util = 0.0, None
         while True:
             gain = -lam * lot.prob
             gain[x_star] += 1.0
+            # Unranked alternatives sort after every ballot, by gain.
+            key = np.empty(m, dtype=np.int64)
+            key[(-gain).argsort(kind="stable")] = after
+            order = np.where(ranked, rank, key).argsort(axis=1, kind="stable")
+            k = (gain[order].cumsum(axis=1) / sizes).argmax(axis=1)[:, None] + 1
             vertices = np.zeros((n, m))
-            for i, ranked in enumerate(p.ballots):
-                order = list(ranked) + sorted(unranked[i], key=lambda y: -gain[y])
-                k = int(np.argmax(np.cumsum(gain[order]) / sizes)) + 1
-                vertices[i, order[:k]] = 1.0 / k
+            vertices[agents, order] = np.where(sizes <= k, 1.0 / k, 0.0)
             welfare = vertices.sum(axis=0)
             ratio = float(welfare[x_star]) / float(lot.prob @ welfare)
             if ratio <= lam * (1.0 + 1e-12):

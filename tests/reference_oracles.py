@@ -13,6 +13,9 @@ scale s, expected welfare pinned to 1, the welfare of each X* maximized)
 that decides unboundedness by the LP alone. ``reference_utilitarian_lp`` is
 the route the library ran before its per-agent vertex choice: the support
 test, then the same program, raising where that route raised.
+``reference_utilitarian_dinkelbach`` is that vertex choice as the library
+first ran it, one agent at a time, before each Dinkelbach step was taken
+for all agents at once; the two must agree to the bit.
 
 ``reference_metric_primal`` is the compact metric route the library ran
 before it solved the dual: the closure test, then per X* the primal
@@ -332,6 +335,47 @@ def reference_utilitarian_lp(lot: Lottery, p: Profile | TopTProfile) -> Distorti
             "after the support test found the distortion bounded"
         )
     return report
+
+
+def reference_utilitarian_dinkelbach(
+    lot: Lottery, p: Profile | TopTProfile
+) -> DistortionReport:
+    """The library's former Dinkelbach step, one agent at a time.
+
+    The support test, then per x* Dinkelbach's iteration from lambda = 0,
+    where each agent sorts its unranked alternatives by gain (a stable sort,
+    so ties by index), takes the running means of the gains along its
+    ballot and that order, and puts 1/k on the first k at the first maximum.
+    """
+    unbounded = _utilitarian_unbounded(lot, p)
+    if unbounded is not None:
+        return unbounded
+    n, m = p.n, p.m
+    unranked = [p.unranked(i) for i in range(n)]
+    sizes = np.arange(1, m + 1)
+
+    def candidate(x_star: int) -> tuple[float, tuple[int, np.ndarray]]:
+        lam, util = 0.0, None
+        while True:
+            gain = -lam * lot.prob
+            gain[x_star] += 1.0
+            vertices = np.zeros((n, m))
+            for i, ranked in enumerate(p.ballots):
+                order = list(ranked) + sorted(unranked[i], key=lambda y: -gain[y])
+                k = int(np.argmax(np.cumsum(gain[order]) / sizes)) + 1
+                vertices[i, order[:k]] = 1.0 / k
+            welfare = vertices.sum(axis=0)
+            ratio = float(welfare[x_star]) / float(lot.prob @ welfare)
+            if ratio <= lam * (1.0 + 1e-12):
+                return lam, (x_star, util)
+            lam, util = ratio, vertices
+
+    best_value, (best_x, best_util) = _first_max(candidate(x) for x in range(m))
+    return DistortionReport(
+        value=DistortionValue.finite(max(best_value, 1.0)),
+        witness=UtilityProfile(best_util),
+        arg_optimum=best_x,
+    )
 
 
 def _completions(p: TopTProfile) -> Iterator[Profile]:

@@ -6,6 +6,7 @@ exit codes and stream purity are asserted without spawning anything
 """
 
 import argparse
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -445,6 +446,54 @@ class TestSweep:
             ["sweep", "--config", str(cfg), "--output", str(b), "--jobs", "4"]
         )[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Replace the process pool with an in-process stand-in that records
+        each pool's ``max_workers``, so no worker process is started."""
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return started
+
+    def test_pool_capped_at_cell_count(self, tmp_path, pools):
+        cfg = tmp_path / "cfg.json"
+        config = dict(self.CONFIG, rules=["plurality"], grid=[{"n": 3, "m": 3}])
+        cfg.write_text(json.dumps(config))  # 2 cells: one per world
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(["sweep", "--config", str(cfg), "--output", str(a)])[0] == 0
+        assert pools == []
+        assert run_cli(
+            ["sweep", "--config", str(cfg), "--output", str(b), "--jobs", "64"]
+        )[0] == 0
+        assert pools == [2]
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_no_cells_run_in_process(self, tmp_path, pools):
+        # copeland takes full rankings only, so the one top-t cell is skipped.
+        cfg = tmp_path / "cfg.json"
+        config = dict(self.CONFIG, rules=["copeland"], grid=[{"n": 2, "m": 3, "t": 1}])
+        cfg.write_text(json.dumps(config))
+        out_csv = tmp_path / "o.csv"
+        code, _, err = run_cli(
+            ["sweep", "--config", str(cfg), "--output", str(out_csv), "--jobs", "4"]
+        )
+        assert code == 0, err
+        assert pools == []
+        assert len(out_csv.read_text().splitlines()) == 1  # the header only
 
     def test_timings_flag_fills_runtime(self, tmp_path):
         cfg = tmp_path / "cfg.json"

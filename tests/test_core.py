@@ -116,6 +116,10 @@ class TestTruncateProfile:
     def test_p2_top2(self):
         assert truncate_profile(P2, 2).prefixes == ((0, 1), (1, 0), (2, 1))
 
+    def test_positions_put_unranked_at_m(self):
+        assert truncate_profile(P2, 2).positions.tolist() == [[0, 1, 3], [1, 0, 3], [3, 1, 0]]
+        assert truncate_profile(P2, 3).positions.tolist() == P2.positions.tolist()
+
     def test_bad_t(self):
         with pytest.raises(ValueError):
             truncate_profile(P1, 0)

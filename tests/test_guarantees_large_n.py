@@ -1,0 +1,50 @@
+"""The paper's utilitarian guarantees where n is much larger than m.
+
+Criteria 03 and 04 check the pruned plurality-veto bound 7 m^2 and the
+truncated-harmonic bound sqrt(72 m) H_m (both at eps = 1) on n <= 9 and
+m <= 5. Here the same bounds, at the same tolerance, are checked on seeded
+random profiles at (n, m) = (40, 6) and (200, 10) and on the Proposition
+3.1 family at n = 24 and 40.
+"""
+
+from __future__ import annotations
+
+import math
+
+from test_acceptance import RATIO_TOL
+
+import distortion_lab as dl
+
+RULES = {
+    "pruned_plurality_veto": (
+        lambda p: dl.pruned_plurality_veto(p, eps=1.0),
+        lambda m: 7.0 * m**2,
+    ),
+    "truncated_harmonic": (
+        lambda p: dl.truncated_harmonic(p, eps=1.0),
+        lambda m: math.sqrt(72.0 * m) * dl.harmonic_number(m),
+    ),
+}
+
+
+def large_n_profiles() -> list[dl.Profile]:
+    return (
+        [dl.random_profile(40, 6, seed=s) for s in (71_000, 71_001, 71_002)]
+        + [dl.random_profile(200, 10, seed=s) for s in (72_000, 72_001, 72_002)]
+        + [dl.prop31_profile(n, m) for n in (24, 40) for m in (3, 5, 9)]
+    )
+
+
+def test_utilitarian_bounds_at_large_n(acceptance_notes):
+    profiles = large_n_profiles()
+    worst = dict.fromkeys(RULES, 0.0)
+    for j, p in enumerate(profiles):
+        for rule, (lottery, bound) in RULES.items():
+            value = dl.utilitarian_distortion(lottery(p), p).value
+            assert not value.is_unbounded, (j, rule)
+            assert value.value <= bound(p.m) + RATIO_TOL, (j, rule)
+            worst[rule] = max(worst[rule], value.value / bound(p.m))
+    acceptance_notes.append(
+        f"utilitarian guarantees at n >> m ({len(profiles)} profiles), worst value/bound: "
+        + ", ".join(f"{rule} {ratio:.3f}" for rule, ratio in worst.items())
+    )

@@ -12,6 +12,7 @@ from reference_oracles import (
     reference_completion_max,
     reference_metric_primal,
     reference_metric_report,
+    reference_utilitarian_dinkelbach,
     reference_utilitarian_lp,
     reference_utilitarian_report,
 )
@@ -284,6 +285,64 @@ class TestThreeRouteCrossCheck:
         acceptance_notes.append(
             f"utilitarian three-route cross-check: {count} cases, 0 mismatches; "
             f"the LP reference raised on {len(lp_raised)} (cases {lp_raised})"
+        )
+
+
+def _dinkelbach_cases(count: int):
+    """Seeded rule lotteries: m in 2..10, n in 2..5, every eighth n in
+    6..40, n = 200 every 500th case; every other profile is top-t, and t
+    cycles through 1..m-1.
+
+    The lotteries are truncated harmonic (top-t truncated harmonic on
+    prefixes), plurality and random dictatorship, whose many equal masses
+    tie the gains of unranked alternatives.
+    """
+    for case in range(count):
+        rng = np.random.default_rng(61_000 + case)
+        m = int(rng.integers(2, 11))
+        if case % 500 == 499:
+            n = 200
+        elif case % 8 == 7:
+            n = int(rng.integers(6, 41))
+        else:
+            n = int(rng.integers(2, 6))
+        p = dl.random_profile(n, m, seed=61_000 + case)
+        if case % 2:
+            p = dl.truncate_profile(p, 1 + (case // 2) % (m - 1))
+        if case % 3 == 0 and isinstance(p, Profile):
+            lot = dl.truncated_harmonic(p)
+        elif case % 3 == 0:
+            lot = dl.top_t_truncated_harmonic(p)
+        elif case % 3 == 1:
+            lot = dl.plurality(p)
+        else:
+            lot = dl.random_dictatorship(p)
+        yield case, lot, p
+
+
+class TestDinkelbachCrossCheck:
+    """The all-agents Dinkelbach step against the per-agent loop it replaced."""
+
+    def test_matches_per_agent_loop_bit_for_bit(self, acceptance_notes):
+        count, shapes, mismatches = 2_000, set(), []
+        for case, lot, p in _dinkelbach_cases(count):
+            shapes.add((p.m, getattr(p, "t", None)))
+            got = utilitarian_distortion(lot, p)
+            want = reference_utilitarian_dinkelbach(lot, p)
+            if not (
+                got.value == want.value
+                and got.arg_optimum == want.arg_optimum
+                and got.witness.util.tobytes() == want.witness.util.tobytes()
+            ):
+                mismatches.append((case, p.n, p.m, got.value, want.value))
+        assert mismatches == []
+        # Full ballots and every t < m at every m in 2..10.
+        assert shapes == {
+            (m, t) for m in range(2, 11) for t in [None, *range(1, m)]
+        }
+        acceptance_notes.append(
+            f"utilitarian Dinkelbach step vs per-agent loop: {count} cases, "
+            f"{len(mismatches)} mismatches (value, arg_optimum and witness bytes)"
         )
 
 
