@@ -321,6 +321,13 @@ def _parse_sweep_config(path) -> dict:
     return data
 
 
+def _sweep_workers(jobs: int, cells: int, cpus: int) -> int:
+    """Worker processes for a sweep: ``--jobs``, but no more than one per
+    cell and one per usable CPU. The process pool forks all of its workers
+    at the first submit, so an uncapped ``--jobs`` would fork that many."""
+    return min(jobs, cells, cpus)
+
+
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise CliError(EXIT_BAD_PARAMS, f"--jobs needs N >= 1, got {args.jobs}")
@@ -363,8 +370,13 @@ def cmd_sweep(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_BAD_INSTANCE, f"malformed sweep config: {exc!r}")
 
-    # No more workers than cells; one worker (or no cell) runs in-process.
-    workers = min(args.jobs, len(items))
+    # CPUs this process may run on; platforms without affinity count them all.
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    # One worker (or no cell) runs in-process.
+    workers = _sweep_workers(args.jobs, len(items), cpus)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, items))
@@ -556,7 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="record wall-clock runtime_ms (off by default to keep output byte-deterministic)",
     )
     sweep.add_argument(
-        "--jobs", type=int, default=1, help="parallel worker processes, at most one per cell"
+        "--jobs",
+        type=int,
+        default=1,
+        help="parallel worker processes, at most one per cell and per usable CPU",
     )
     sweep.set_defaults(func=cmd_sweep)
 

@@ -65,10 +65,13 @@ def _int_ballots(ballots) -> tuple[tuple[int, ...], ...]:
 
 
 def _positions(ballots: tuple[tuple[int, ...], ...], m: int) -> np.ndarray:
-    pos = np.full((len(ballots), m), m, dtype=np.int64)
-    for i, ballot in enumerate(ballots):
-        pos[i, list(ballot)] = np.arange(len(ballot))
-    return pos
+    # Filled as Python lists and converted once: a numpy assignment per
+    # ballot costs more than the whole fill at these sizes.
+    rows = [[m] * m for _ in ballots]
+    for row, ballot in zip(rows, ballots):
+        for k, x in enumerate(ballot):
+            row[x] = k
+    return np.array(rows, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,14 @@ when it is consistent with some completion of the ballots, so the worst
 case is the maximum over completions. Both kinds are read through the
 ballot view (``p.ballots``, ``p.unranked``), so they share one code path.
 
+Both oracles are anonymous: renaming the agents maps every instance
+consistent with the ballots to one consistent with the renamed ballots and
+with the same social costs, so a lottery's worst case depends on the
+ballots only as a multiset. ``exhaustive_worst_case`` therefore solves each
+(ballot multiset, lottery) it meets once and keeps the value in a dict
+local to the call, at most one float per key, which the budget on the
+profiles scanned bounds.
+
 Deterministic throughout: candidates scan in ascending index order through
 ``_first_max``, which every best-so-far scan uses, so values tied within a
 relative 1e-12 resolve to the lowest index at any magnitude.
@@ -171,10 +179,10 @@ def _metric_rows(p: Profile | TopTProfile) -> np.ndarray:
     unordered pair X<Y in lexicographic order. The rows are each agent's
     consistency chain d(i, better) - d(i, worse); then
     d(i,X) - d(i,Y) - e(X,Y) for every agent and ordered pair X != Y that
-    the ballot does not rank X above Y, counting an unranked alternative as
-    rank m so that two unranked ones keep both directions (a skipped row
-    follows from the chain and e >= 0); then e(X,Y) - d(j,X) - d(j,Y) for
-    every agent and unordered pair.
+    the ballot does not rank X above Y, read from ``p.positions``, where an
+    unranked alternative has rank m so that two unranked ones keep both
+    directions (a skipped row follows from the chain and e >= 0); then
+    e(X,Y) - d(j,X) - d(j,Y) for every agent and unordered pair.
     """
     n, m = p.n, p.m
     nm = n * m
@@ -185,12 +193,11 @@ def _metric_rows(p: Profile | TopTProfile) -> np.ndarray:
     rows: list[tuple[int, ...]] = []
     for i in range(n):
         rows += ((i * m + b, i * m + w) for b, w in _consistency_chain(p, i))
-    for i, ballot in enumerate(p.ballots):
-        rank = {x: k for k, x in enumerate(ballot)}
+    for i, rank in enumerate(p.positions.tolist()):
         rows += (
             (i * m + x, i * m + y, pair_col[min(x, y), max(x, y)])
             for x, y in itertools.permutations(range(m), 2)
-            if rank.get(x, m) >= rank.get(y, m)
+            if rank[x] >= rank[y]
         )
     for j in range(n):
         rows += ((col, j * m + x, j * m + y) for (x, y), col in pair_col.items())
@@ -487,13 +494,15 @@ Rule = Callable[[Profile | TopTProfile], Lottery]
 _WORLDS = ("metric", "utilitarian")
 
 
-def rule_distortion(rule: Rule, p: Profile | TopTProfile, world: str) -> DistortionReport:
-    """Worst-case distortion of ``rule``'s lottery on ``p`` in one world."""
+def _oracle(world: str) -> Callable[[Lottery, Profile | TopTProfile], DistortionReport]:
     if world not in _WORLDS:
         raise ValueError(f"world must be one of {_WORLDS}, got {world!r}")
-    lot = rule(p)
-    oracle = metric_distortion if world == "metric" else utilitarian_distortion
-    return oracle(lot, p)
+    return metric_distortion if world == "metric" else utilitarian_distortion
+
+
+def rule_distortion(rule: Rule, p: Profile | TopTProfile, world: str) -> DistortionReport:
+    """Worst-case distortion of ``rule``'s lottery on ``p`` in one world."""
+    return _oracle(world)(rule(p), p)
 
 
 def _all_profiles(n: int, m: int, t: int | None) -> Iterator[Profile | TopTProfile]:
@@ -522,17 +531,32 @@ def exhaustive_worst_case(
     when ``t`` is given, in lexicographic order; the first profile attaining
     the maximum is returned as the witness. Raises
     :class:`BudgetExceededError` if the profile count exceeds the budget.
+
+    The rule runs on every profile, but the oracle runs once per (ballot
+    multiset, lottery), since its value does not depend on the order of the
+    agents (module docstring). A rule that does yields another lottery, and
+    so another key, wherever the order changes its output. The first
+    profile of each key, the multiset's sorted arrangement for an anonymous
+    rule, is the one solved; a later profile with the key has the same
+    value, so it never replaces the best and the witness is a solved
+    profile. The values live in a dict local to the call: at most one float
+    per (ballot multiset, lottery) scanned, so the budget bounds it.
     """
-    if world not in _WORLDS:
-        raise ValueError(f"world must be one of {_WORLDS}, got {world!r}")
+    oracle = _oracle(world)
     if t is None:
         count = math.factorial(m) ** n
     else:
         count = (math.factorial(m) // math.factorial(m - t)) ** n
     if count > budget:
         raise BudgetExceededError(f"{count} profiles exceed the budget of {budget}")
-    best, witness = _first_max(
-        (rule_distortion(rule, profile, world).value.value, profile)
-        for profile in _all_profiles(n, m, t)
-    )
+    solved: dict[tuple[tuple[tuple[int, ...], ...], bytes], float] = {}
+
+    def value(profile: Profile | TopTProfile) -> float:
+        lot = rule(profile)
+        key = (tuple(sorted(profile.ballots)), lot.prob.tobytes())
+        if key not in solved:
+            solved[key] = oracle(lot, profile).value.value
+        return solved[key]
+
+    best, witness = _first_max((value(profile), profile) for profile in _all_profiles(n, m, t))
     return DistortionValue(best), witness

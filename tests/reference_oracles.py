@@ -29,6 +29,16 @@ They are kept to cross-check the library's compact metric program, its
 utilitarian vertex choice and its combinatorial unboundedness tests on
 small shapes; they run on the direct ballot constraints.
 
+``reference_metric_rows`` is the metric program's row builder as the
+library first ran it, reading each agent's ranks from a ``{x: rank}`` dict
+where ``oracles._metric_rows`` reads ``p.positions``; the two must build the
+same matrix.
+
+``reference_exhaustive_worst_case`` is the plain exhaustive scan: one
+oracle call on every profile, where the library solves each (ballot
+multiset, lottery) once. The two must agree to the bit on the value and on
+the witness profile.
+
 ``reference_completion_max`` is the top-t route the library replaced with
 its single prefix program: the worst case over every full profile that
 extends the prefixes, (m-t)!^n of them, each solved by a full-ranking
@@ -65,14 +75,44 @@ from distortion_lab.core import (
 )
 from distortion_lab.oracles import (
     DistortionReport,
+    Rule,
+    _all_profiles,
     _first_max,
     _metric_closure,
     _metric_unbounded,
     _utilitarian_unbounded,
+    rule_distortion,
 )
 from distortion_lab.rules import VetoTrace, harmonic_number, top_t_det_rule
 
 DEGENERACY_TOL = 1e-7
+
+
+def reference_metric_rows(p: Profile | TopTProfile) -> np.ndarray:
+    """The rows A of the metric program, ranks read from a per-agent dict."""
+    n, m = p.n, p.m
+    nm = n * m
+    pair_col = {
+        pair: nm + k for k, pair in enumerate(itertools.combinations(range(m), 2))
+    }
+    # Each row as its +1 column followed by its -1 columns.
+    rows: list[tuple[int, ...]] = []
+    for i in range(n):
+        rows += ((i * m + b, i * m + w) for b, w in _consistency_chain(p, i))
+    for i, ballot in enumerate(p.ballots):
+        rank = {x: k for k, x in enumerate(ballot)}
+        rows += (
+            (i * m + x, i * m + y, pair_col[min(x, y), max(x, y)])
+            for x, y in itertools.permutations(range(m), 2)
+            if rank.get(x, m) >= rank.get(y, m)
+        )
+    for j in range(n):
+        rows += ((col, j * m + x, j * m + y) for (x, y), col in pair_col.items())
+    nv = nm + len(pair_col)
+    a = np.zeros((len(rows), nv))
+    a.flat[[r * nv + row[0] for r, row in enumerate(rows)]] = 1.0
+    a.flat[[r * nv + c for r, row in enumerate(rows) for c in row[1:]]] = -1.0
+    return a
 
 
 @lru_cache(maxsize=64)
@@ -376,6 +416,18 @@ def reference_utilitarian_dinkelbach(
         witness=UtilityProfile(best_util),
         arg_optimum=best_x,
     )
+
+
+def reference_exhaustive_worst_case(
+    rule: Rule, n: int, m: int, world: str, t: int | None = None
+) -> tuple[DistortionValue, Profile | TopTProfile]:
+    """Worst case of a rule over every profile of the shape, one oracle call
+    per profile, first maximum in lexicographic order."""
+    best, witness = _first_max(
+        (rule_distortion(rule, profile, world).value.value, profile)
+        for profile in _all_profiles(n, m, t)
+    )
+    return DistortionValue(best), witness
 
 
 def _completions(p: TopTProfile) -> Iterator[Profile]:

@@ -469,7 +469,8 @@ class TestSweep:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         return started
 
-    def test_pool_capped_at_cell_count(self, tmp_path, pools):
+    def test_pool_capped_at_cell_count(self, tmp_path, pools, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         cfg = tmp_path / "cfg.json"
         config = dict(self.CONFIG, rules=["plurality"], grid=[{"n": 3, "m": 3}])
         cfg.write_text(json.dumps(config))  # 2 cells: one per world
@@ -481,6 +482,23 @@ class TestSweep:
         )[0] == 0
         assert pools == [2]
         assert a.read_bytes() == b.read_bytes()
+
+    def test_pool_capped_at_usable_cpus(self, tmp_path, pools, monkeypatch):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONFIG))  # 6 cells
+        out_csv = tmp_path / "o.csv"
+        assert run_cli(
+            ["sweep", "--config", str(cfg), "--output", str(out_csv), "--jobs", "5000"]
+        )[0] == 0
+        assert pools == [2]
+
+    @pytest.mark.parametrize(
+        "jobs, cells, cpus, workers",
+        [(1, 4, 2, 1), (4, 4, 2, 2), (5000, 3, 64, 3), (5000, 10_000, 2, 2), (3, 0, 2, 0)],
+    )
+    def test_sweep_workers(self, jobs, cells, cpus, workers):
+        assert cli._sweep_workers(jobs, cells, cpus) == workers
 
     def test_no_cells_run_in_process(self, tmp_path, pools):
         # copeland takes full rankings only, so the one top-t cell is skipped.

@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 import distortion_lab as dl
+import distortion_lab.oracles as oracles_mod
 from conftest import random_lottery
+from distortion_lab.cli import RULES, make_rule
 from reference_oracles import (
     reference_completion_max,
+    reference_exhaustive_worst_case,
     reference_metric_primal,
     reference_metric_report,
+    reference_metric_rows,
     reference_utilitarian_dinkelbach,
     reference_utilitarian_lp,
     reference_utilitarian_report,
@@ -556,6 +560,91 @@ class TestExhaustiveWorstCase:
         )
         assert isinstance(profile, TopTProfile)
         assert value.value == pytest.approx(1.0)
+
+
+# The rules ``distortion-lab reproduce`` tabulates: full ballots, no
+# required parameter.
+REPRODUCE_IDS = tuple(
+    rid
+    for rid, entry in RULES.items()
+    if "full" in entry.kinds and all(d is not None for d, _ in entry.params.values())
+)
+
+
+def _middle_dictator(p):
+    """Point mass on agent 1's top. At n = 3 no sorted arrangement leaves
+    agent 1 alone against the other two, so the worst case is reached only
+    on unsorted profiles, whose lotteries differ from the sorted ones'."""
+    return Lottery.point_mass(p.m, p.ballots[1][0])
+
+
+class TestExhaustiveOrbitCrossCheck:
+    """One oracle call per (ballot multiset, lottery) against one per profile."""
+
+    CELLS = (
+        [(rid, n, m, None) for rid in REPRODUCE_IDS for n, m in ((2, 3), (3, 3), (1, 4))]
+        + [(rid, 3, 3, 2) for rid in ("top_t_det", "top_t_th")]
+        + [("middle_dictator", 3, m, None) for m in (2, 3)]
+    )
+
+    @pytest.mark.parametrize("world", ["metric", "utilitarian"])
+    def test_matches_plain_scan(self, world, acceptance_notes):
+        assert len(REPRODUCE_IDS) == 7
+        for rid, n, m, t in self.CELLS:
+            rule = _middle_dictator if rid == "middle_dictator" else make_rule(rid, {})[0]
+            got_value, got_witness = exhaustive_worst_case(rule, n, m, world, t)
+            want_value, want_witness = reference_exhaustive_worst_case(rule, n, m, world, t)
+            cell = (rid, n, m, t)
+            assert repr(got_value) == repr(want_value), cell
+            assert type(got_witness) is type(want_witness), cell
+            assert got_witness.ballots == want_witness.ballots, cell
+        acceptance_notes.append(
+            f"exhaustive orbit reuse vs plain scan ({world}): {len(self.CELLS)} tables, "
+            "values and witness ballots identical"
+        )
+
+    @pytest.fixture
+    def metric_calls(self, monkeypatch):
+        """The profiles the metric oracle is called on."""
+        calls = []
+        metric = oracles_mod.metric_distortion
+
+        def counting(lot, p):
+            calls.append(p)
+            return metric(lot, p)
+
+        monkeypatch.setattr(oracles_mod, "metric_distortion", counting)
+        return calls
+
+    def test_solves_each_multiset_once(self, metric_calls):
+        rule_calls = []
+
+        def counting_rule(p):
+            rule_calls.append(p)
+            return dl.plurality(p)
+
+        value, _ = exhaustive_worst_case(counting_rule, 3, 3, "metric")
+        # 6^3 profiles; C(6 + 2, 3) multisets of three of the 6 rankings.
+        assert (len(rule_calls), len(metric_calls)) == (216, 56)
+        # Each multiset is solved on its sorted arrangement.
+        assert all(list(p.ballots) == sorted(p.ballots) for p in metric_calls)
+        assert repr(value) == repr(reference_exhaustive_worst_case(dl.plurality, 3, 3, "metric")[0])
+
+    def test_order_dependent_rule_solves_each_lottery(self, metric_calls):
+        exhaustive_worst_case(lambda p: dl.plurality_veto(p)[0], 3, 3, "metric")
+        # The 56 multisets, plus 10 keys where an agent order changes the lottery.
+        assert len(metric_calls) == 66
+
+
+class TestMetricRowsCrossCheck:
+    def test_positions_rows_match_dict_rows(self):
+        for case in range(50):
+            rng = np.random.default_rng(67_000 + case)
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            p = dl.random_profile(n, m, seed=67_000 + case)
+            if case % 2 and m > 1:
+                p = dl.truncate_profile(p, int(rng.integers(1, m)))
+            assert np.array_equal(oracles_mod._metric_rows(p), reference_metric_rows(p)), case
 
 
 def _mirrored_instance(rng: np.random.Generator) -> tuple[Profile, Lottery]:
