@@ -20,7 +20,9 @@ stdout carries only each command's primary output; diagnostics go to
 stderr. Exit codes: 0 success, 2 unknown rule (or an argparse usage
 error), 3 invalid instance or config, 4 bad parameters (undeclared,
 missing or out of range, or a rule/ballot-kind mismatch), 5 brute-force
-disagreement, 6 budget exceeded. The enumeration budget caps the
+disagreement, 6 budget exceeded, 7 solver or certificate failure (an
+``lp.SolverError`` or ``oracles.CertificateError``: a fault in the
+library, reported on one stderr line). The enumeration budget caps the
 brute-force twin (``oracle --check-bruteforce``) and exhaustive
 ``reproduce`` tables; top-t oracles solve one exact prefix program and
 need none. The environment variable ``DISTORTION_LAB_BUDGET`` overrides
@@ -51,7 +53,8 @@ from .core import (
     truncate_profile,
 )
 from .instances import InstanceFormatError
-from .oracles import BudgetExceededError
+from .lp import SolverError
+from .oracles import BudgetExceededError, CertificateError
 
 EXIT_OK = 0
 EXIT_UNKNOWN_RULE = 2
@@ -59,6 +62,7 @@ EXIT_BAD_INSTANCE = 3
 EXIT_BAD_PARAMS = 4
 EXIT_BRUTEFORCE_MISMATCH = 5
 EXIT_BUDGET = 6
+EXIT_SOLVER = 7
 
 FULL, TOPT = frozenset(("full",)), frozenset(("topt",))
 
@@ -622,6 +626,9 @@ def main(argv=None) -> int:
     except InstanceFormatError as exc:
         print(f"distortion-lab: {exc}", file=sys.stderr)
         return EXIT_BAD_INSTANCE
+    except (SolverError, CertificateError) as exc:
+        print(f"distortion-lab: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ basic variable index, so identical inputs always take the identical pivot
 path. Unboundedness is a first-class outcome, but the worst-case oracles do
 not read it as a distortion signal: closure and support tests decide
 unbounded distortion before any program is built, and the metric oracle
-treats a program that is not optimal after that as an error.
+raises :class:`SolverError` for a program that is not optimal after that.
 
 All variables are bounded below (default 0); rows compare ``<=``, ``=`` or
 ``>=`` against the right-hand side. An optimal outcome also carries the row
@@ -31,7 +31,12 @@ INFEASIBLE = "infeasible"
 _RELATIONS = ("<=", "=", ">=")
 _FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
 
-__all__ = ["LinearProgram", "LPOutcome", "solve"]
+__all__ = ["LinearProgram", "LPOutcome", "SolverError", "solve"]
+
+
+class SolverError(RuntimeError):
+    """The solver failed on a program it should solve: the pivot cap was hit,
+    phase 1 came out unbounded, or an assignment failed the post-check."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +173,7 @@ def _run_phase(
             dump.write(f"pivot: col {col} enters, row {row} (basic {basis[row]}) leaves\n")
         _pivot(tab, row, col)
         basis[row] = col
-    raise RuntimeError(f"simplex did not terminate within {max_pivots} pivots")
+    raise SolverError(f"simplex did not terminate within {max_pivots} pivots")
 
 
 def solve(lp: LinearProgram, *, dump: IO[str] | None = None) -> LPOutcome:
@@ -177,7 +182,7 @@ def solve(lp: LinearProgram, *, dump: IO[str] | None = None) -> LPOutcome:
     Entries with magnitude at most ``PIVOT_TOL`` count as zero for pivoting
     decisions. Each phase is capped at 10_000 + 100 * (rows + columns)
     pivots; Bland's rule guarantees finite termination, so hitting the cap
-    raises.
+    raises :class:`SolverError`, as does a failed post-check.
 
     Args:
         lp: the program to solve.
@@ -250,7 +255,7 @@ def solve(lp: LinearProgram, *, dump: IO[str] | None = None) -> LPOutcome:
             _dump_tableau(dump, "phase 1 start", tab, basis)
         status, _ = _run_phase(tab, basis, n_cols, max_pivots, dump)
         if status != OPTIMAL:
-            raise RuntimeError("phase 1 is bounded by construction")
+            raise SolverError("phase 1 is bounded by construction")
         if tab[-1, -1] < -FEAS_TOL:
             return LPOutcome(status=INFEASIBLE)
         # Drive leftover artificials out of the basis; rows that cannot pivot
@@ -303,7 +308,7 @@ def solve(lp: LinearProgram, *, dump: IO[str] | None = None) -> LPOutcome:
 def _check_feasible(lp: LinearProgram, x: np.ndarray):
     """Defensive post-check; a violation indicates a solver bug."""
     if (x < lp.lower_bounds - FEAS_TOL).any():
-        raise RuntimeError("solver returned an assignment below a variable bound")
+        raise SolverError("solver returned an assignment below a variable bound")
     residuals = (lp.lhs @ x - lp.rhs).tolist()
     for i, (r, resid) in enumerate(zip(lp.relations, residuals)):
         ok = (
@@ -314,4 +319,4 @@ def _check_feasible(lp: LinearProgram, x: np.ndarray):
             else abs(resid) <= FEAS_TOL
         )
         if not ok:
-            raise RuntimeError(f"solver returned an assignment violating row {i}")
+            raise SolverError(f"solver returned an assignment violating row {i}")

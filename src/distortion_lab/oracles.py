@@ -72,10 +72,14 @@ ballot view (``p.ballots``, ``p.unranked``), so they share one code path.
 Both oracles are anonymous: renaming the agents maps every instance
 consistent with the ballots to one consistent with the renamed ballots and
 with the same social costs, so a lottery's worst case depends on the
-ballots only as a multiset. ``exhaustive_worst_case`` therefore solves each
-(ballot multiset, lottery) it meets once and keeps the value in a dict
-local to the call, at most one float per key, which the budget on the
-profiles scanned bounds.
+ballots only as a multiset. They are also neutral: if pi renames the
+alternatives, it maps every instance consistent with the ballots to one
+consistent with the renamed ballots, with the same social costs up to the
+renaming, under which the lottery q becomes pi.q (mass q[x] on pi[x]).
+So (pi.P, pi.q) has the same worst case as (P, q). ``exhaustive_worst_case``
+therefore solves each (ballot multiset, lottery) it meets once and stores
+the value under the key of each of its m! renamings, in a dict local to
+the call.
 
 Deterministic throughout: candidates scan in ascending index order through
 ``_first_max``, which every best-so-far scan uses, so values tied within a
@@ -109,6 +113,7 @@ DEFAULT_ENUMERATION_BUDGET = 10**6
 __all__ = [
     "DistortionReport",
     "BudgetExceededError",
+    "CertificateError",
     "metric_distortion",
     "utilitarian_distortion",
     "utilitarian_distortion_bruteforce",
@@ -119,6 +124,10 @@ __all__ = [
 
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured budget."""
+
+
+class CertificateError(RuntimeError):
+    """An oracle's answer failed its own certificate check."""
 
 
 T = TypeVar("T")
@@ -294,7 +303,7 @@ def _metric_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
             lp.LinearProgram(objective=objective, lhs=a, relations=rel, rhs=cost, maximize=False)
         )
         if dual.status != lp.OPTIMAL:
-            raise RuntimeError(
+            raise lp.SolverError(
                 f"dual metric program for x*={x_star} returned {dual.status}, so the "
                 "primal is unbounded or infeasible after the closure test found "
                 "the distortion bounded"
@@ -310,7 +319,7 @@ def _metric_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
         and abs(y[best_x:nm:m].sum() - 1.0) <= tol
         and abs(cost @ y - best_value) <= 1e-9 * abs(best_value)
     ):
-        raise RuntimeError(
+        raise CertificateError(
             f"metric program for x*={best_x}: the distances read from the dual "
             "fail the primal certificate check"
         )
@@ -532,15 +541,22 @@ def exhaustive_worst_case(
     the maximum is returned as the witness. Raises
     :class:`BudgetExceededError` if the profile count exceeds the budget.
 
-    The rule runs on every profile, but the oracle runs once per (ballot
-    multiset, lottery), since its value does not depend on the order of the
-    agents (module docstring). A rule that does yields another lottery, and
-    so another key, wherever the order changes its output. The first
-    profile of each key, the multiset's sorted arrangement for an anonymous
-    rule, is the one solved; a later profile with the key has the same
-    value, so it never replaces the best and the witness is a solved
-    profile. The values live in a dict local to the call: at most one float
-    per (ballot multiset, lottery) scanned, so the budget bounds it.
+    The rule runs on every profile, but the oracle runs once per orbit of
+    (ballot multiset, lottery) under renamings of the alternatives, since
+    its value depends neither on the order of the agents nor on the names
+    of the alternatives (module docstring). On a miss the oracle solves the
+    profile in hand, and the value is stored under the key of every
+    renaming pi (identity included): the sorted renamed ballots and the
+    lottery's bytes permuted by pi^-1, the mass that lands on each new name.
+    ``setdefault`` keeps an earlier value. A rule that depends on the agent
+    order or on the alternatives' names yields another lottery, and so
+    another key, wherever that changes its output, and gets its own solve.
+    Orbits are disjoint, so the first profile of each orbit in scan order
+    (the multiset's sorted arrangement for an anonymous rule) is the one
+    solved; a later member has the same value, so it never replaces the
+    best and the witness is a solved profile. The dict is local to the
+    call: each solve adds at most m! floats, and the dict is freed when the
+    call returns.
     """
     oracle = _oracle(world)
     if t is None:
@@ -549,13 +565,18 @@ def exhaustive_worst_case(
         count = (math.factorial(m) // math.factorial(m - t)) ** n
     if count > budget:
         raise BudgetExceededError(f"{count} profiles exceed the budget of {budget}")
+    # Each renaming pi as (pi, pi^-1); pi takes alternative x to pi[x].
+    renamings = [(pi, [pi.index(y) for y in range(m)]) for pi in itertools.permutations(range(m))]
     solved: dict[tuple[tuple[tuple[int, ...], ...], bytes], float] = {}
 
     def value(profile: Profile | TopTProfile) -> float:
         lot = rule(profile)
         key = (tuple(sorted(profile.ballots)), lot.prob.tobytes())
         if key not in solved:
-            solved[key] = oracle(lot, profile).value.value
+            v = oracle(lot, profile).value.value
+            for pi, inverse in renamings:
+                renamed = sorted(tuple(pi[x] for x in b) for b in profile.ballots)
+                solved.setdefault((tuple(renamed), lot.prob[inverse].tobytes()), v)
         return solved[key]
 
     best, witness = _first_max((value(profile), profile) for profile in _all_profiles(n, m, t))

@@ -525,6 +525,42 @@ class TestSweep:
         assert all(int(r[8]) >= 0 for r in rows)
 
 
+class TestSolverFailures:
+    """A solver or certificate failure exits 7 with one stderr line."""
+
+    @pytest.fixture(params=["SolverError", "CertificateError"])
+    def failing_oracle(self, request, monkeypatch):
+        error = dl.SolverError if request.param == "SolverError" else dl.CertificateError
+
+        def fail(lot, p):
+            raise error("injected failure")
+
+        monkeypatch.setattr(dl.oracles, "metric_distortion", fail)
+        return request.param
+
+    def _assert_one_line(self, code, out, err, name):
+        assert code == cli.EXIT_SOLVER == 7
+        assert out == ""
+        assert err == f"distortion-lab: {name}: injected failure\n"
+
+    def test_oracle(self, inst, failing_oracle):
+        code, out, err = run_cli(
+            ["oracle", "--world", "metric", "--rule", "plurality", "--instance", str(inst)]
+        )
+        self._assert_one_line(code, out, err, failing_oracle)
+
+    def test_sweep_in_process(self, tmp_path, failing_oracle):
+        cfg = tmp_path / "cfg.json"
+        config = dict(TestSweep.CONFIG, rules=["plurality"], worlds=["metric"])
+        cfg.write_text(json.dumps(config))
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run_cli(
+            ["sweep", "--config", str(cfg), "--output", str(out_csv), "--jobs", "1"]
+        )
+        self._assert_one_line(code, out, err, failing_oracle)
+        assert not out_csv.exists()
+
+
 class TestReproduce:
     def test_exhaustive_table(self, tmp_path):
         out_csv = tmp_path / "table.csv"

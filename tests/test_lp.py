@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from distortion_lab import LinearProgram, solve
+from distortion_lab import lp as lp_mod
 from distortion_lab.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
@@ -159,6 +160,24 @@ class TestDegenerateAndRedundant:
         out = solve(_lp([1.0], [[1.0]], ("<=",), [3.0]), dump=buf)
         assert out.status == OPTIMAL
         assert "pivot" in buf.getvalue() or "tableau" in buf.getvalue()
+
+
+class TestSolverError:
+    """Solver faults raise the typed ``SolverError``, a ``RuntimeError``."""
+
+    def test_is_a_runtime_error(self):
+        assert issubclass(lp_mod.SolverError, RuntimeError)
+
+    def test_pivot_cap(self):
+        # max x s.t. x <= 3 from the slack basis needs one pivot; allow none.
+        tab = np.array([[1.0, 1.0, 3.0], [-1.0, 0.0, 0.0]])
+        with pytest.raises(lp_mod.SolverError, match="did not terminate"):
+            lp_mod._run_phase(tab, [1], 2, 0, None)
+
+    def test_post_check(self):
+        program = _lp([1.0], [[1.0]], ("<=",), [3.0])
+        with pytest.raises(lp_mod.SolverError, match="violating row 0"):
+            lp_mod._check_feasible(program, np.array([5.0]))
 
 
 def _dual_case(case: int):

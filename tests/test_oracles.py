@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import distortion_lab as dl
+import distortion_lab.lp as lp_mod
 import distortion_lab.oracles as oracles_mod
 from conftest import random_lottery
 from distortion_lab.cli import RULES, make_rule
@@ -540,6 +541,34 @@ class TestTopTOracles:
             metric_distortion(Lottery.point_mass(3, 0), AB)
 
 
+class TestTypedFailures:
+    """The metric oracle's faults raise typed errors, both ``RuntimeError``s."""
+
+    LOT, PROFILE = Lottery.point_mass(2, 0), AB_BA
+
+    def test_non_optimal_dual_is_a_solver_error(self, monkeypatch):
+        monkeypatch.setattr(
+            oracles_mod.lp, "solve", lambda program: lp_mod.LPOutcome(status=lp_mod.UNBOUNDED)
+        )
+        with pytest.raises(dl.SolverError, match="returned unbounded"):
+            metric_distortion(self.LOT, self.PROFILE)
+
+    def test_failed_primal_check_is_a_certificate_error(self, monkeypatch):
+        solve = lp_mod.solve
+
+        def wrong_duals(program):
+            out = solve(program)
+            return lp_mod.LPOutcome(
+                status=out.status, value=out.value, assignment=out.assignment,
+                duals=-out.duals,
+            )
+
+        monkeypatch.setattr(oracles_mod.lp, "solve", wrong_duals)
+        with pytest.raises(dl.CertificateError, match="primal certificate"):
+            metric_distortion(self.LOT, self.PROFILE)
+        assert issubclass(dl.CertificateError, RuntimeError)
+
+
 class TestExhaustiveWorstCase:
     def test_single_agent_plurality(self):
         value, profile = exhaustive_worst_case(dl.plurality, 1, 2, "metric")
@@ -578,20 +607,32 @@ def _middle_dictator(p):
     return Lottery.point_mass(p.m, p.ballots[1][0])
 
 
+def _first_alternative(p):
+    """Point mass on alternative 0 whatever the ballots: renaming the
+    alternatives moves the mass in the key's lottery but not in the rule's."""
+    return Lottery.point_mass(p.m, 0)
+
+
+TEST_RULES = {"middle_dictator": _middle_dictator, "first_alternative": _first_alternative}
+
+
 class TestExhaustiveOrbitCrossCheck:
-    """One oracle call per (ballot multiset, lottery) against one per profile."""
+    """One oracle call per orbit of (ballot multiset, lottery) under renamings
+    of the alternatives, against one per profile."""
 
     CELLS = (
         [(rid, n, m, None) for rid in REPRODUCE_IDS for n, m in ((2, 3), (3, 3), (1, 4))]
         + [(rid, 3, 3, 2) for rid in ("top_t_det", "top_t_th")]
         + [("middle_dictator", 3, m, None) for m in (2, 3)]
+        + [("first_alternative", n, m, None) for n, m in ((2, 3), (3, 3), (1, 4))]
+        + [("first_alternative", 3, 3, 2)]
     )
 
     @pytest.mark.parametrize("world", ["metric", "utilitarian"])
     def test_matches_plain_scan(self, world, acceptance_notes):
         assert len(REPRODUCE_IDS) == 7
         for rid, n, m, t in self.CELLS:
-            rule = _middle_dictator if rid == "middle_dictator" else make_rule(rid, {})[0]
+            rule = TEST_RULES[rid] if rid in TEST_RULES else make_rule(rid, {})[0]
             got_value, got_witness = exhaustive_worst_case(rule, n, m, world, t)
             want_value, want_witness = reference_exhaustive_worst_case(rule, n, m, world, t)
             cell = (rid, n, m, t)
@@ -616,7 +657,7 @@ class TestExhaustiveOrbitCrossCheck:
         monkeypatch.setattr(oracles_mod, "metric_distortion", counting)
         return calls
 
-    def test_solves_each_multiset_once(self, metric_calls):
+    def test_solves_each_orbit_once(self, metric_calls):
         rule_calls = []
 
         def counting_rule(p):
@@ -624,16 +665,80 @@ class TestExhaustiveOrbitCrossCheck:
             return dl.plurality(p)
 
         value, _ = exhaustive_worst_case(counting_rule, 3, 3, "metric")
-        # 6^3 profiles; C(6 + 2, 3) multisets of three of the 6 rankings.
-        assert (len(rule_calls), len(metric_calls)) == (216, 56)
-        # Each multiset is solved on its sorted arrangement.
+        # 6^3 profiles; the C(6 + 2, 3) = 56 multisets of three of the 6
+        # rankings fall into (56 + 3 * 0 + 2 * 2) / 3! = 10 orbits under the
+        # renamings (Burnside: a transposition fixes no multiset of three, a
+        # 3-cycle fixes two). Plurality's tie-break by index gives two of
+        # them two lotteries each that no renaming maps onto one another.
+        assert (len(rule_calls), len(metric_calls)) == (216, 12)
+        # Each orbit is solved on a sorted arrangement.
         assert all(list(p.ballots) == sorted(p.ballots) for p in metric_calls)
         assert repr(value) == repr(reference_exhaustive_worst_case(dl.plurality, 3, 3, "metric")[0])
 
     def test_order_dependent_rule_solves_each_lottery(self, metric_calls):
         exhaustive_worst_case(lambda p: dl.plurality_veto(p)[0], 3, 3, "metric")
-        # The 56 multisets, plus 10 keys where an agent order changes the lottery.
-        assert len(metric_calls) == 66
+        # The 10 orbits, one of them solved twice: there the tie-break by
+        # index gives a renamed profile a lottery that is not the renamed one.
+        assert len(metric_calls) == 11
+
+
+def _renamed(p, pi, order):
+    """Profile p with alternative x renamed pi[x] and agent order[k] moved to k."""
+    ballots = tuple(tuple(pi[x] for x in p.ballots[i]) for i in order)
+    return TopTProfile(p.m, p.t, ballots) if isinstance(p, TopTProfile) else Profile(p.m, ballots)
+
+
+class TestNeutralityLemma:
+    """Renaming the alternatives and shuffling the agents leaves the worst
+    case unchanged and moves its optimum by the renaming: the lemma behind
+    the orbit fill in ``exhaustive_worst_case``."""
+
+    @pytest.fixture
+    def candidate_values(self, monkeypatch):
+        """Each finite report's per-candidate values, read at its ``_first_max``."""
+        seen = []
+        first_max = oracles_mod._first_max
+
+        def recording(candidates):
+            candidates = list(candidates)
+            seen.append(sorted((v for v, _ in candidates), reverse=True))
+            return first_max(candidates)
+
+        monkeypatch.setattr(oracles_mod, "_first_max", recording)
+        return seen
+
+    @pytest.mark.parametrize("world", ["metric", "utilitarian"])
+    def test_renaming_maps_the_worst_case(self, world, candidate_values, acceptance_notes):
+        oracle = oracles_mod._oracle(world)
+        mapped = 0
+        for case in range(150):
+            rng = np.random.default_rng(71_000 + case)
+            n, m = int(rng.integers(1, 7)), int(rng.integers(2, 6))
+            p = dl.random_profile(n, m, seed=71_000 + case)
+            if case % 2:
+                p = dl.truncate_profile(p, int(rng.integers(1, m)))
+            lot = random_lottery(rng, m, sparse=case % 3 == 0)
+            pi = tuple(int(x) for x in rng.permutation(m))
+            renamed_prob = np.empty(m)
+            renamed_prob[list(pi)] = lot.prob
+            candidate_values.clear()
+            want = oracle(lot, p)
+            got = oracle(Lottery(renamed_prob), _renamed(p, pi, rng.permutation(n)))
+            assert got.value.is_unbounded == want.value.is_unbounded, case
+            if want.value.is_unbounded:
+                continue
+            values = candidate_values[0]  # want's; got's come second
+            a, b = got.value.value, want.value.value
+            assert abs(a - b) <= 1e-9 * max(1.0, abs(b)), (case, a, b)
+            # The optimum is unique when no other candidate comes within 1e-9.
+            if len(values) == 1 or values[0] - values[1] > 1e-9 * max(1.0, values[0]):
+                assert got.arg_optimum == pi[want.arg_optimum], case
+                mapped += 1
+        assert mapped >= 10
+        acceptance_notes.append(
+            f"neutrality lemma ({world}): 150 renamed and shuffled profiles, "
+            f"{mapped} unique optima mapped by the renaming"
+        )
 
 
 class TestMetricRowsCrossCheck:
