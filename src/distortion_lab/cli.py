@@ -37,7 +37,6 @@ import concurrent.futures
 import csv
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -248,12 +247,7 @@ def cmd_oracle(args) -> int:
                 EXIT_BAD_PARAMS, "--check-bruteforce needs full rankings"
             )
         budget = _budget(args)
-    oracle = (
-        oracles.metric_distortion
-        if args.world == "metric"
-        else oracles.utilitarian_distortion
-    )
-    report = oracle(lot, p)
+    report = oracles._oracle(args.world)(lot, p)
     if args.check_bruteforce:
         try:
             twin = oracles.utilitarian_distortion_bruteforce(lot, p, budget=budget)
@@ -320,7 +314,7 @@ def _parse_sweep_config(path) -> dict:
         if type(seed) is not int or seed < 0:
             raise InstanceFormatError(f"{path}: seed {seed!r} is not an integer >= 0")
     for world in data["worlds"]:
-        if world not in ("metric", "utilitarian"):
+        if world not in oracles._WORLDS:
             raise InstanceFormatError(f"{path}: unknown world {world!r}")
     return data
 
@@ -425,11 +419,12 @@ def cmd_reproduce(args) -> int:
                 )
 
     budget = _budget(args)
-    exhaustive = math.factorial(m) ** n <= budget
+    count = oracles._profile_count(n, m)
+    exhaustive = count <= budget
     if not exhaustive and args.sample is None:
         raise CliError(
             EXIT_BUDGET,
-            f"{math.factorial(m) ** n} profiles exceed the budget of {budget}; "
+            f"{count} profiles exceed the budget of {budget}; "
             "pass --sample K to sample instead",
         )
 
@@ -437,7 +432,7 @@ def cmd_reproduce(args) -> int:
     for rid in wanted:
         rule, _ = make_rule(rid, {})
         row = [rid]
-        for world in ("metric", "utilitarian"):
+        for world in oracles._WORLDS:
             if exhaustive:
                 value, _ = oracles.exhaustive_worst_case(
                     rule, n, m, world, budget=budget
@@ -453,7 +448,7 @@ def cmd_reproduce(args) -> int:
             row.append(str(value))
         table.append(tuple(row))
 
-    header = ("rule", "metric", "utilitarian")
+    header = ("rule", *oracles._WORLDS)
     widths = [
         max(len(row[col]) for row in table + [header]) + 2 for col in range(2)
     ]
@@ -550,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     oracle = subs.add_parser("oracle", help="worst-case distortion of a lottery")
-    oracle.add_argument("--world", choices=("metric", "utilitarian"), required=True)
+    oracle.add_argument("--world", choices=oracles._WORLDS, required=True)
     oracle.add_argument("--instance", required=True)
     oracle.add_argument("--lottery", default=None, help="lottery JSON path")
     oracle.add_argument("--rule", default=None, help="rule id instead of a lottery")

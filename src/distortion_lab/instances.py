@@ -255,17 +255,23 @@ def _expect_fields(path, data: dict, required: tuple[str, ...], optional: tuple[
 def load_instance(path: str | Path) -> Profile | TopTProfile:
     """Load a profile; the presence of ``t``/``prefixes`` marks top-t data."""
     data = _read_json(path)
-    try:
-        if "t" in data or "prefixes" in data:
-            _expect_fields(path, data, ("m", "n", "t", "prefixes"))
-            p: Profile | TopTProfile = TopTProfile(
-                data["m"], data["t"], tuple(tuple(b) for b in data["prefixes"])
+    top_t = "t" in data or "prefixes" in data
+    sizes, key = (("m", "n", "t"), "prefixes") if top_t else (("m", "n"), "rankings")
+    _expect_fields(path, data, sizes + (key,))
+    for field in sizes:
+        # type() is int, not isinstance: JSON true and false are not sizes.
+        if type(data[field]) is not int:
+            raise InstanceFormatError(
+                f"{path}: field {field!r} is {json.dumps(data[field])}, not an integer"
             )
-            count = len(data["prefixes"])
-        else:
-            _expect_fields(path, data, ("m", "n", "rankings"))
-            p = Profile(data["m"], tuple(tuple(b) for b in data["rankings"]))
-            count = len(data["rankings"])
+    try:
+        ballots = tuple(tuple(b) for b in data[key])
+        if any(type(x) is not int for b in ballots for x in b):
+            raise TypeError("ballot entries must be integers")
+        p: Profile | TopTProfile = (
+            TopTProfile(data["m"], data["t"], ballots) if top_t else Profile(data["m"], ballots)
+        )
+        count = len(ballots)
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"{path}: malformed ballots: {exc}")
     if count != data["n"]:

@@ -88,6 +88,7 @@ relative 1e-12 resolve to the lowest index at any magnitude.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -506,6 +507,8 @@ _WORLDS = ("metric", "utilitarian")
 def _oracle(world: str) -> Callable[[Lottery, Profile | TopTProfile], DistortionReport]:
     if world not in _WORLDS:
         raise ValueError(f"world must be one of {_WORLDS}, got {world!r}")
+    # Read at call time, so that replacing an oracle on the module (as a
+    # tracer does) reaches every caller.
     return metric_distortion if world == "metric" else utilitarian_distortion
 
 
@@ -514,15 +517,16 @@ def rule_distortion(rule: Rule, p: Profile | TopTProfile, world: str) -> Distort
     return _oracle(world)(rule(p), p)
 
 
+def _profile_count(n: int, m: int, t: int | None = None) -> int:
+    """(m!/(m-t)!)^n profiles of n ballots: full rankings (t None) or top-t prefixes."""
+    k = m if t is None else t
+    return (math.factorial(m) // math.factorial(m - k)) ** n
+
+
 def _all_profiles(n: int, m: int, t: int | None) -> Iterator[Profile | TopTProfile]:
-    if t is None:
-        per_agent = list(itertools.permutations(range(m)))
-        for combo in itertools.product(per_agent, repeat=n):
-            yield Profile(m, combo)
-    else:
-        per_agent = list(itertools.permutations(range(m), t))
-        for combo in itertools.product(per_agent, repeat=n):
-            yield TopTProfile(m, t, combo)
+    make = functools.partial(Profile, m) if t is None else functools.partial(TopTProfile, m, t)
+    for combo in itertools.product(itertools.permutations(range(m), t), repeat=n):
+        yield make(combo)
 
 
 def exhaustive_worst_case(
@@ -559,10 +563,7 @@ def exhaustive_worst_case(
     call returns.
     """
     oracle = _oracle(world)
-    if t is None:
-        count = math.factorial(m) ** n
-    else:
-        count = (math.factorial(m) // math.factorial(m - t)) ** n
+    count = _profile_count(n, m, t)
     if count > budget:
         raise BudgetExceededError(f"{count} profiles exceed the budget of {budget}")
     # Each renaming pi as (pi, pi^-1); pi takes alternative x to pi[x].

@@ -10,13 +10,14 @@ profile; ``plurality`` and ``random_dictatorship`` accept both.
 
 Full and top-t rules share one veto phase, ``_veto`` (an agent vetoes the
 highest-index survivor its ballot leaves out, else its last ranked
-survivor; a full ranking leaves none out), and one harmonic row builder,
-``_anchored_rows`` (h = H_m for full rankings, 2 * H_t for prefixes).
+survivor; a full ranking leaves none out), whose last target is the winner
+of every veto-based rule, and one harmonic row builder, ``_anchored_rows``
+(h = H_m for full rankings, 2 * H_t for prefixes). ``copeland`` and
+``_anchored_rows`` compare entries of the (n, m) array ``p.positions``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,7 +29,6 @@ from .core import (
     TopTProfile,
     _restrict_ballots,
     plurality_scores,
-    restrict_profile,
 )
 
 __all__ = [
@@ -81,22 +81,14 @@ def plurality(p: Profile | TopTProfile) -> Lottery:
 def copeland(p: Profile) -> Lottery:
     """Point mass on the alternative with the most pairwise wins.
 
-    A pairwise win counts 1, a pairwise tie 1/2.
+    A pairwise win counts 1, a pairwise tie 1/2. ``wins[x, y]`` counts the
+    agents placing x above y; the diagonal is 0 against n and adds nothing.
     """
     p = _require_full(p, "copeland")
     pos = p.positions
-    score = np.zeros(p.m)
-    for x in range(p.m):
-        for y in range(x + 1, p.m):
-            wins_x = int((pos[:, x] < pos[:, y]).sum())
-            wins_y = p.n - wins_x
-            if wins_x > wins_y:
-                score[x] += 1.0
-            elif wins_y > wins_x:
-                score[y] += 1.0
-            else:
-                score[x] += 0.5
-                score[y] += 0.5
+    wins = (pos[:, :, None] < pos[:, None, :]).sum(axis=0)
+    losses = p.n - wins
+    score = (wins > losses).sum(axis=1) + 0.5 * (wins == losses).sum(axis=1)
     return Lottery.point_mass(p.m, int(np.argmax(score)))
 
 
@@ -125,6 +117,14 @@ def _veto(ballots: tuple[tuple[int, ...], ...], m: int) -> list[tuple[int, int, 
     return events
 
 
+def _restricted_plurality_veto(ballots: tuple[tuple[int, ...], ...], m_sub: int) -> int:
+    """Winner of the veto phase (``_veto``) on full rankings or ragged prefixes
+    over ``m_sub`` alternatives."""
+    if any(len(ballot) == 0 for ballot in ballots):
+        raise ValueError("every agent needs a nonempty prefix")
+    return _veto(ballots, m_sub)[-1][1]
+
+
 def plurality_veto(p: Profile) -> tuple[Lottery, VetoTrace]:
     """Seed scores with plurality counts, then let each agent veto its
     least-preferred survivor in index order (``_veto``); the last target wins."""
@@ -151,9 +151,8 @@ def pruned_plurality_veto(p: Profile, eps: float = 1.0) -> Lottery:
     scores = plurality_scores(p)
     threshold = eps * p.n / ((6.0 + eps) * p.m)
     keep = [x for x in range(p.m) if scores[x] >= threshold - 1e-9]
-    sub, index_map = restrict_profile(p, keep)
-    _, trace = plurality_veto(sub)
-    return Lottery.point_mass(p.m, index_map[trace.winner])
+    winner = _restricted_plurality_veto(_restrict_ballots(p.rankings, keep), len(keep))
+    return Lottery.point_mass(p.m, keep[winner])
 
 
 def random_dictatorship(p: Profile | TopTProfile) -> Lottery:
@@ -175,55 +174,25 @@ def harmonic_rule(p: Profile) -> Lottery:
     return Lottery(weights.mean(axis=0))
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedWeightFunction:
-    """Per-agent harmonic weights truncated at an anchor alternative.
-
-    Agent i gives weight 1/(H_m * rank_i(y)) to each y they rank strictly
-    above the anchor, the leftover mass to the anchor itself, and zero below;
-    each row sums to one. ``w_plus(y)`` aggregates a column across agents.
-    """
-
-    anchor: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 2:
-            raise ValueError("weights must be an (n, m) grid")
-        if (w < -1e-12).any() or (w > 1.0 + 1e-12).any():
-            raise ValueError("weights must lie in [0, 1]")
-        rows = w.sum(axis=1)
-        if np.abs(rows - 1.0).max(initial=0.0) > 1e-9:
-            raise ValueError("each agent's weights must sum to 1")
-        w = np.clip(w, 0.0, 1.0)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "anchor", int(self.anchor))
-
-    def w_plus(self, y: int) -> float:
-        return float(self.weights[:, y].sum())
-
-
 def _anchored_rows(p: Profile | TopTProfile, anchor: int, h: float) -> np.ndarray:
     """(n, m) rows: 1/(h * rank) on each alternative ranked above ``anchor``
-    (all ranked ones if the ballot omits it), the rest of 1 on the anchor."""
-    rows = np.zeros((p.n, p.m))
-    for i, ballot in enumerate(p.ballots):
-        cut = ballot.index(anchor) if anchor in ballot else len(ballot)
-        for rank0, y in enumerate(ballot[:cut]):
-            rows[i, y] = 1.0 / (h * (rank0 + 1))
-        rows[i, anchor] = 1.0 - rows[i].sum()
+    (every ranked one if the anchor is unranked, at position m), the rest of 1
+    on the anchor."""
+    pos = p.positions
+    rows = np.where(pos < pos[:, anchor, None], 1.0 / (h * (pos + 1)), 0.0)
+    rows[:, anchor] = 1.0 - rows.sum(axis=1)
     return rows
 
 
-def truncated_weights(p: Profile, anchor: int) -> TruncatedWeightFunction:
-    """Harmonic weights truncated at ``anchor`` (see TruncatedWeightFunction)."""
+def truncated_weights(p: Profile, anchor: int) -> np.ndarray:
+    """Read-only (n, m) harmonic weights truncated at ``anchor``: agent i gives
+    1/(H_m * rank_i(y)) to each y ranked above it, the rest of 1 to it, 0 below."""
     p = _require_full(p, "truncated_weights")
     if not (0 <= anchor < p.m):
         raise ValueError(f"anchor {anchor} out of range for m={p.m}")
     w = _anchored_rows(p, anchor, harmonic_number(p.m))
-    return TruncatedWeightFunction(anchor=anchor, weights=w)
+    w.setflags(write=False)
+    return w
 
 
 def truncated_harmonic(p: Profile, eps: float = 1.0) -> Lottery:
@@ -236,20 +205,13 @@ def truncated_harmonic(p: Profile, eps: float = 1.0) -> Lottery:
     p = _require_full(p, "truncated_harmonic")
     if not (0.0 < eps < 6.0):
         raise ValueError(f"eps must lie strictly between 0 and 6, got {eps}")
-    _, trace = plurality_veto(p)
-    prob = (eps / 6.0) * truncated_weights(p, trace.winner).weights.mean(axis=0)
-    prob[trace.winner] += 1.0 - eps / 6.0
+    anchor = _restricted_plurality_veto(p.rankings, p.m)
+    prob = (eps / 6.0) * _anchored_rows(p, anchor, harmonic_number(p.m)).mean(axis=0)
+    prob[anchor] += 1.0 - eps / 6.0
     return Lottery(prob)
 
 
 BaseTopKRule = Callable[[tuple[tuple[int, ...], ...], int], int]
-
-
-def _restricted_plurality_veto(prefixes: tuple[tuple[int, ...], ...], m_sub: int) -> int:
-    """Winner of the veto phase (``_veto``) on ragged prefixes over ``m_sub`` alternatives."""
-    if any(len(pre) == 0 for pre in prefixes):
-        raise ValueError("every agent needs a nonempty prefix")
-    return _veto(prefixes, m_sub)[-1][1]
 
 
 def top_t_det_rule(p: TopTProfile, base_rule: BaseTopKRule | None = None) -> Lottery:

@@ -420,7 +420,7 @@ def _check_rules_th_weights():
         for y in range(m):
             if y == anchor:
                 continue
-            expect = (eps / 6.0) * weights.w_plus(y) / n
+            expect = (eps / 6.0) * weights[:, y].sum() / n
             assert abs(lot.prob[y] - expect) <= 1e-12, (case, y)
 
 

@@ -51,7 +51,10 @@ shared one veto phase and one anchored-row builder:
 ``reference_truncated_weights`` and ``reference_truncated_harmonic`` (full
 rankings, anchor H_m) and ``reference_top_t_truncated_harmonic`` (prefixes,
 anchor 2 H_t). They are kept to check that the shared loops give the same
-bits.
+bits. ``reference_copeland`` is Copeland's loop over the pairs, and
+``reference_pruned_plurality_veto`` runs the reference veto phase on the
+restricted ``Profile``, where the rules now count all pairwise wins at once
+from ``p.positions`` and take the veto winner on the restricted ballots.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ from distortion_lab.core import (
     UtilityProfile,
     _consistency_chain,
     plurality_scores,
+    restrict_profile,
 )
 from distortion_lab.oracles import (
     DistortionReport,
@@ -477,6 +481,35 @@ def reference_plurality_veto(p: Profile) -> tuple[Lottery, VetoTrace]:
         winner=int(target),
     )
     return Lottery.point_mass(p.m, trace.winner), trace
+
+
+def reference_copeland(p: Profile) -> Lottery:
+    """Point mass on the most pairwise wins (a tie 1/2), counted pair by pair."""
+    pos = p.positions
+    score = np.zeros(p.m)
+    for x in range(p.m):
+        for y in range(x + 1, p.m):
+            wins_x = int((pos[:, x] < pos[:, y]).sum())
+            wins_y = p.n - wins_x
+            if wins_x > wins_y:
+                score[x] += 1.0
+            elif wins_y > wins_x:
+                score[y] += 1.0
+            else:
+                score[x] += 0.5
+                score[y] += 0.5
+    return Lottery.point_mass(p.m, int(np.argmax(score)))
+
+
+def reference_pruned_plurality_veto(p: Profile, eps: float = 1.0) -> Lottery:
+    """The reference veto phase on the profile restricted to the alternatives
+    with plurality score at least eps*n/((6+eps)*m), mapped back."""
+    scores = plurality_scores(p)
+    threshold = eps * p.n / ((6.0 + eps) * p.m)
+    keep = [x for x in range(p.m) if scores[x] >= threshold - 1e-9]
+    sub, index_map = restrict_profile(p, keep)
+    _, trace = reference_plurality_veto(sub)
+    return Lottery.point_mass(p.m, index_map[trace.winner])
 
 
 def reference_restricted_veto(prefixes: tuple[tuple[int, ...], ...], m_sub: int) -> int:

@@ -1,10 +1,14 @@
-"""The paper's utilitarian guarantees where n is much larger than m.
+"""The paper's guarantees where n is much larger than m.
 
-Criteria 03 and 04 check the pruned plurality-veto bound 7 m^2 and the
-truncated-harmonic bound sqrt(72 m) H_m (both at eps = 1) on n <= 9 and
-m <= 5. Here the same bounds, at the same tolerance, are checked on seeded
-random profiles at (n, m) = (40, 6) and (200, 10) and on the Proposition
-3.1 family at n = 24 and 40.
+Criteria 02-04 check the metric bounds 3 (plurality veto), 10 (pruned
+plurality veto) and 4 (truncated harmonic), and criteria 03 and 04 the
+utilitarian bounds 7 m^2 and sqrt(72 m) H_m, all at eps = 1, on n <= 9 and
+m <= 5. Here the same bounds, at the same tolerance, are checked on larger
+profiles. Utilitarian: seeded random profiles at (n, m) = (40, 6) and
+(200, 10) and the Proposition 3.1 family at n = 24 and 40. Metric, whose
+oracle solves an LP per candidate optimum: seeded random profiles at
+(16, 5) and (16, 6), the Proposition 3.1 family at (16, 5) and (24, 4), and
+the Theorem 3.6 instances at m = 4, n = 16 and 24.
 """
 
 from __future__ import annotations
@@ -46,5 +50,35 @@ def test_utilitarian_bounds_at_large_n(acceptance_notes):
             worst[rule] = max(worst[rule], value.value / bound(p.m))
     acceptance_notes.append(
         f"utilitarian guarantees at n >> m ({len(profiles)} profiles), worst value/bound: "
+        + ", ".join(f"{rule} {ratio:.3f}" for rule, ratio in worst.items())
+    )
+
+
+METRIC_RULES = {
+    "plurality_veto": (lambda p: dl.plurality_veto(p)[0], 3.0),
+    "pruned_plurality_veto": (lambda p: dl.pruned_plurality_veto(p, eps=1.0), 10.0),
+    "truncated_harmonic": (lambda p: dl.truncated_harmonic(p, eps=1.0), 4.0),
+}
+
+
+def metric_profiles() -> list[dl.Profile]:
+    return (
+        [dl.random_profile(16, 5, seed=73_000), dl.random_profile(16, 6, seed=73_001)]
+        + [dl.prop31_profile(16, 5), dl.prop31_profile(24, 4)]
+        + [dl.thm36_instance(4, n)[0] for n in (16, 24)]
+    )
+
+
+def test_metric_bounds_at_large_n(acceptance_notes):
+    profiles = metric_profiles()
+    worst = dict.fromkeys(METRIC_RULES, 0.0)
+    for j, p in enumerate(profiles):
+        for rule, (lottery, bound) in METRIC_RULES.items():
+            value = dl.metric_distortion(lottery(p), p).value
+            assert not value.is_unbounded, (j, rule)
+            assert value.value <= bound + RATIO_TOL, (j, rule)
+            worst[rule] = max(worst[rule], value.value / bound)
+    acceptance_notes.append(
+        f"metric guarantees at n >> m ({len(profiles)} profiles), worst value/bound: "
         + ", ".join(f"{rule} {ratio:.3f}" for rule, ratio in worst.items())
     )

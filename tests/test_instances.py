@@ -1,12 +1,15 @@
 """Unit tests for instance generators and JSON file handling."""
 
+import io
 import json
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
 import distortion_lab as dl
+from distortion_lab import cli
 from distortion_lab import (
     InstanceFormatError,
     Profile,
@@ -202,6 +205,29 @@ class TestInstanceFiles:
         path.write_text(json.dumps({"m": 2, "n": 3, "rankings": [[0, 1]]}))
         with pytest.raises(InstanceFormatError):
             dl.load_instance(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"m": 3.7, "n": 1, "rankings": [[0, 1.2, 2]]},
+            {"m": True, "n": 1, "rankings": [[0]]},
+            {"m": 3, "n": 1, "t": 2.5, "prefixes": [[0, 1]]},
+            {"m": 3, "n": 1, "rankings": [[0, 1.0, 2]]},
+            {"m": 2, "n": 1, "t": 1, "prefixes": [[False]]},
+        ],
+        ids=["float-m", "bool-m", "float-t", "float-entry", "bool-entry"],
+    )
+    def test_non_integer_fields_rejected(self, tmp_path, data):
+        # int() would turn each into another instance (m = 3.7 into 3, true into 1).
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InstanceFormatError, match="integer"):
+            dl.load_instance(path)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["run", "--rule", "plurality", "--instance", str(path)])
+        assert code == 3 and out.getvalue() == ""
+        assert err.getvalue().startswith("distortion-lab: ") and err.getvalue().count("\n") == 1
 
     def test_invalid_rankings_rejected(self, tmp_path):
         path = tmp_path / "dupes.json"

@@ -1,12 +1,16 @@
 """Unit tests for the voting rules, pinned to hand-derived lotteries."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import distortion_lab as dl
 from distortion_lab.rules import _restricted_plurality_veto
 from reference_oracles import (
+    reference_copeland,
     reference_plurality_veto,
+    reference_pruned_plurality_veto,
     reference_restricted_veto,
     reference_top_t_truncated_harmonic,
     reference_truncated_harmonic,
@@ -205,12 +209,12 @@ class TestTruncatedWeights:
     def test_mid_anchor_row(self):
         p = Profile(m=3, rankings=((0, 1, 2),))
         w = truncated_weights(p, 1)
-        assert np.allclose(w.weights[0], [6 / 11, 5 / 11, 0.0])
+        assert np.allclose(w[0], [6 / 11, 5 / 11, 0.0])
 
     def test_top_anchor_point_mass(self):
         p = Profile(m=3, rankings=((0, 1, 2),))
         w = truncated_weights(p, 0)
-        assert np.allclose(w.weights[0], [1.0, 0.0, 0.0])
+        assert np.allclose(w[0], [1.0, 0.0, 0.0])
 
     def test_rows_sum_to_one(self):
         import distortion_lab as dl
@@ -218,7 +222,7 @@ class TestTruncatedWeights:
         for seed in range(25):
             p = dl.random_profile(3, 4, seed=seed)
             w = truncated_weights(p, seed % 4)
-            assert np.allclose(w.weights.sum(axis=1), 1.0)
+            assert np.allclose(w.sum(axis=1), 1.0)
 
 
 class TestTopTDetRule:
@@ -288,8 +292,9 @@ class TestMix:
 
 
 class TestReferenceCrossCheck:
-    """The shared veto phase and anchored rows against the per-kind loops they
-    replaced (``reference_oracles``): equal traces, winners and bits."""
+    """The shared veto phase, the anchored rows and Copeland's win count
+    against the loops they replaced (``reference_oracles``): equal traces,
+    winners and bits."""
 
     CASES = 300
 
@@ -311,6 +316,27 @@ class TestReferenceCrossCheck:
             ref_lot, ref_trace = reference_plurality_veto(p)
             assert trace == ref_trace, seed
             assert np.array_equal(lot.prob, ref_lot.prob), seed
+
+    def test_copeland(self):
+        ties = 0
+        for seed in range(self.CASES):
+            p = self._full(seed)
+            got = copeland(p).prob
+            assert np.array_equal(got, reference_copeland(p).prob), seed
+            pos = p.positions
+            ties += sum(
+                2 * int((pos[:, x] < pos[:, y]).sum()) == p.n
+                for x, y in itertools.combinations(range(p.m), 2)
+            )
+        assert ties > 0  # pairwise ties, at even n, score 1/2 each
+
+    def test_pruned_plurality_veto(self):
+        for seed in range(self.CASES):
+            p = self._full(seed)
+            # At eps = 6 the bar n/(2m) is often met exactly.
+            for eps in (0.1, 1.0, 6.0):
+                got = pruned_plurality_veto(p, eps).prob
+                assert np.array_equal(got, reference_pruned_plurality_veto(p, eps).prob), seed
 
     def test_restricted_veto_on_ragged_prefixes(self):
         for seed in range(self.CASES):
@@ -344,7 +370,7 @@ class TestReferenceCrossCheck:
         for seed in range(self.CASES):
             p = self._full(seed)
             for anchor in range(p.m):
-                got = truncated_weights(p, anchor).weights
+                got = truncated_weights(p, anchor)
                 assert np.array_equal(got, reference_truncated_weights(p, anchor)), seed
             for eps in (1e-3, 1.0, 5.9):
                 got = truncated_harmonic(p, eps).prob
