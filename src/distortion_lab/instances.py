@@ -252,6 +252,18 @@ def _expect_fields(path, data: dict, required: tuple[str, ...], optional: tuple[
             raise InstanceFormatError(f"{path}: unknown field {field!r}")
 
 
+def _numbers(value) -> np.ndarray:
+    """A JSON array of numbers as a float array; true and false are refused,
+    where ``np.asarray`` would read them as 1 and 0."""
+
+    def has_bool(v) -> bool:
+        return any(has_bool(x) for x in v) if isinstance(v, list) else type(v) is bool
+
+    if has_bool(value):
+        raise TypeError("entries must be numbers, not true or false")
+    return np.asarray(value, dtype=float)
+
+
 def load_instance(path: str | Path) -> Profile | TopTProfile:
     """Load a profile; the presence of ``t``/``prefixes`` marks top-t data."""
     data = _read_json(path)
@@ -296,12 +308,16 @@ def load_metric(path: str | Path, n: int, m: int) -> MetricSpace:
     """Load a metric grid and bind it to an (n agents, m alternatives) split."""
     data = _read_json(path)
     _expect_fields(path, data, ("points", "dist"))
+    if type(data["points"]) is not int:
+        raise InstanceFormatError(
+            f"{path}: field 'points' is {json.dumps(data['points'])}, not an integer"
+        )
     if data["points"] != n + m:
         raise InstanceFormatError(
             f"{path}: metric has {data['points']} points, expected n+m={n + m}"
         )
     try:
-        return MetricSpace(n=n, m=m, dist=np.asarray(data["dist"], dtype=float))
+        return MetricSpace(n=n, m=m, dist=_numbers(data["dist"]))
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"{path}: invalid metric: {exc}")
 
@@ -316,7 +332,7 @@ def load_utilities(path: str | Path) -> UtilityProfile:
     data = _read_json(path)
     _expect_fields(path, data, ("util",))
     try:
-        return UtilityProfile(np.asarray(data["util"], dtype=float))
+        return UtilityProfile(_numbers(data["util"]))
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"{path}: invalid utilities: {exc}")
 
@@ -329,7 +345,7 @@ def load_lottery(path: str | Path) -> Lottery:
     data = _read_json(path)
     _expect_fields(path, data, ("prob",))
     try:
-        return Lottery(np.asarray(data["prob"], dtype=float))
+        return Lottery(_numbers(data["prob"]))
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"{path}: invalid lottery: {exc}")
 

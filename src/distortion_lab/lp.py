@@ -12,11 +12,18 @@ All variables are bounded below (default 0); rows compare ``<=``, ``=`` or
 ``>=`` against the right-hand side. An optimal outcome also carries the row
 duals, read off the final tableau, so a caller that solves the dual of its
 program gets the primal solution too (the metric oracle does).
+
+``solve(lp, start=outcome)`` starts from the final basis B of an optimal
+outcome whose program differs from ``lp`` only in the last ``lhs`` column,
+both with only inequality rows. The slack block of the final tableau is
+B^-1 up to column signs, which gives the new column; the old one stays as
+the one artificial, which phase 1 drives to 0. The basic values are then
+refined once against ``lp``'s rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
@@ -108,12 +115,18 @@ class LPOutcome:
     b @ y = value, and for min{c @ x : A x >= b, x >= 0} the y >= 0 with
     y @ A <= c and b @ y = value.
     ``unbounded`` and ``infeasible``: nothing else.
+
+    An optimal outcome also keeps the ``program``, final ``tableau`` and
+    ``basis`` (one column per row) that a warm start reads.
     """
 
     status: str
     value: float | None = None
     assignment: np.ndarray | None = None
     duals: np.ndarray | None = None
+    program: LinearProgram | None = field(default=None, repr=False)
+    tableau: np.ndarray | None = field(default=None, repr=False)
+    basis: tuple[int, ...] | None = field(default=None, repr=False)
 
 
 def _dump_tableau(dump: IO[str], label: str, tab: np.ndarray, basis: list[int]):
@@ -176,7 +189,12 @@ def _run_phase(
     raise SolverError(f"simplex did not terminate within {max_pivots} pivots")
 
 
-def solve(lp: LinearProgram, *, dump: IO[str] | None = None) -> LPOutcome:
+def solve(
+    lp: LinearProgram,
+    *,
+    dump: IO[str] | None = None,
+    start: LPOutcome | None = None,
+) -> LPOutcome:
     """Solve an LP with the two-phase tableau simplex method.
 
     Entries with magnitude at most ``PIVOT_TOL`` count as zero for pivoting
@@ -188,6 +206,11 @@ def solve(lp: LinearProgram, *, dump: IO[str] | None = None) -> LPOutcome:
         lp: the program to solve.
         dump: optional text stream receiving tableau snapshots and the pivot
             log, for debugging.
+        start: optional optimal outcome of a program that differs from
+            ``lp`` only in the last ``lhs`` column, with only ``<=`` and
+            ``>=`` rows and a zero lower bound on the last variable; the
+            solve starts from its final basis. Any other ``start`` raises
+            ``ValueError``.
 
     Returns:
         An :class:`LPOutcome`. Optimal assignments satisfy every constraint
@@ -216,38 +239,57 @@ def solve(lp: LinearProgram, *, dump: IO[str] | None = None) -> LPOutcome:
     slack_rows = [i for i, r in enumerate(rel) if r in ("<=", ">=")]
     art_rows = [i for i, r in enumerate(rel) if r in (">=", "=")]
     n_slack = len(slack_rows)
-    n_art = len(art_rows)
-    n_cols = n + n_slack + n_art
     art_start = n + n_slack
-
-    tab = np.zeros((n_rows + 1, n_cols + 1))
-    tab[:n_rows, :n] = a
-    tab[:n_rows, -1] = b
-    basis = [-1] * n_rows
     # Row i's dual is dual_sign[i] times the bottom row at column dual_col[i].
     sense = 1.0 if lp.maximize else -1.0
     dual_col = [0] * n_rows
     dual_sign = [-sense if f else sense for f in flip.tolist()]
+    slack_sign = [0.0] * n_rows
     for k, i in enumerate(slack_rows):
-        sign = 1.0 if rel[i] == "<=" else -1.0
-        tab[i, n + k] = sign
+        slack_sign[i] = 1.0 if rel[i] == "<=" else -1.0
         dual_col[i] = n + k
-        dual_sign[i] *= sign
-        if sign > 0:
-            basis[i] = n + k
-    for k, i in enumerate(art_rows):
-        tab[i, art_start + k] = 1.0
-        basis[i] = art_start + k
-        if rel[i] == "=":
-            dual_col[i] = art_start + k
+        dual_sign[i] *= slack_sign[i]
+
+    if start is None:
+        n_art = len(art_rows)
+        n_cols = n + n_slack + n_art
+        tab = np.zeros((n_rows + 1, n_cols + 1))
+        tab[:n_rows, :n] = a
+        tab[:n_rows, -1] = b
+        basis = [-1] * n_rows
+        for k, i in enumerate(slack_rows):
+            tab[i, n + k] = slack_sign[i]
+            if slack_sign[i] > 0:
+                basis[i] = n + k
+        for k, i in enumerate(art_rows):
+            tab[i, art_start + k] = 1.0
+            basis[i] = art_start + k
+            if rel[i] == "=":
+                dual_col[i] = art_start + k
+    else:
+        _check_start(lp, start)
+        # Every row is an inequality, so column n + i is row i's slack and
+        # holds slack_sign[i] * B^-1 e_i. The old last column moves to
+        # art_start, the one artificial, and keeps its place in the basis.
+        prev = start.tableau
+        n_art = 1
+        n_cols = art_start + 1
+        tab = np.zeros((n_rows + 1, n_cols + 1))
+        tab[:n_rows, :art_start] = prev[:n_rows, :art_start]
+        tab[:n_rows, art_start] = prev[:n_rows, n - 1]
+        tab[:n_rows, -1] = prev[:n_rows, -1]
+        tab[:n_rows, n - 1] = prev[:n_rows, n:art_start] @ (np.array(slack_sign) * a[:, -1])
+        basis = [art_start if j == n - 1 else j for j in start.basis]
+        art_rows = [i for i, j in enumerate(basis) if j == art_start]
 
     max_pivots = 10_000 + 100 * (n_rows + n_cols)
 
     if n_art:
-        # Phase 1: maximize minus the artificial sum, starting from the
-        # all-artificial basis. The bottom row starts at minus the costs
-        # (-0 on the real and slack columns) and takes away each row whose
-        # artificial is basic, in row order (subtract.reduce folds left).
+        # Phase 1: maximize minus the artificial sum, starting from a
+        # feasible basis (the all-artificial one, or the start's). The bottom
+        # row starts at minus the costs (-0 on the real and slack columns)
+        # and takes away each row whose artificial is basic, in row order
+        # (subtract.reduce folds left).
         tab[-1, :art_start] = -0.0
         tab[-1, art_start:-1] = 1.0
         tab[-1] = np.subtract.reduce(tab[[n_rows] + art_rows], axis=0)
@@ -293,8 +335,11 @@ def solve(lp: LinearProgram, *, dump: IO[str] | None = None) -> LPOutcome:
             dump.write(f"unbounded along column {entering}\n")
         return LPOutcome(status=UNBOUNDED)
 
+    values = tab[:n_rows, -1]
+    if start is not None:
+        values = _refined(values, basis, a, b, np.array(slack_sign), tab[:n_rows, n:art_start])
     y = np.zeros(n_cols)
-    y[basis] = tab[:n_rows, -1]
+    y[basis] = values
     x = y[:n] + lb
     value = float(lp.objective @ x)
     _check_feasible(lp, x)
@@ -302,7 +347,53 @@ def solve(lp: LinearProgram, *, dump: IO[str] | None = None) -> LPOutcome:
         _dump_tableau(dump, "phase 2 end", tab, basis)
         dump.write(f"optimal value {value}\n")
     duals = np.array(dual_sign) * tab[-1, dual_col]
-    return LPOutcome(status=OPTIMAL, value=value, assignment=x, duals=duals)
+    return LPOutcome(
+        status=OPTIMAL,
+        value=value,
+        assignment=x,
+        duals=duals,
+        program=lp,
+        tableau=tab,
+        basis=tuple(basis),
+    )
+
+
+def _refined(
+    values: np.ndarray, basis: list[int], a: np.ndarray, b: np.ndarray,
+    slack_sign: np.ndarray, slack_block: np.ndarray,
+) -> np.ndarray:
+    """The basic values after one step of iterative refinement: a warm
+    tableau carries the rounding of every pivot since its chain's cold
+    solve, and the residual of B x_B = b on the rows (row i's slack at
+    column n + i), mapped back through the slack block, removes most of it."""
+    n = a.shape[1]
+    cols = np.array(basis)
+    real = cols < n
+    resid = b - a[:, cols[real]] @ values[real]
+    rows = cols[~real] - n
+    resid[rows] -= slack_sign[rows] * values[~real]
+    return values + slack_block @ (slack_sign * resid)
+
+
+def _check_start(lp: LinearProgram, start: LPOutcome):
+    """Raise ``ValueError`` unless ``solve(lp, start=start)`` may warm-start."""
+    if start.status != OPTIMAL or start.tableau is None:
+        raise ValueError("a warm start must be an optimal outcome of solve")
+    if "=" in lp.relations:
+        raise ValueError("a warm start needs a program with only <= and >= rows")
+    old = start.program
+    if not (
+        old.lhs.shape == lp.lhs.shape
+        and old.relations == lp.relations
+        and old.maximize == lp.maximize
+        and np.array_equal(old.objective, lp.objective)
+        and np.array_equal(old.rhs, lp.rhs)
+        and np.array_equal(old.lower_bounds, lp.lower_bounds)
+        and np.array_equal(old.lhs[:, :-1], lp.lhs[:, :-1])
+    ):
+        raise ValueError("a warm start must solve a program that differs only in the last lhs column")
+    if lp.lower_bounds[-1] != 0.0:
+        raise ValueError("a warm start needs a zero lower bound on the last variable")
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray):

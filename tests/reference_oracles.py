@@ -29,6 +29,11 @@ They are kept to cross-check the library's compact metric program, its
 utilitarian vertex choice and its combinatorial unboundedness tests on
 small shapes; they run on the direct ballot constraints.
 
+``reference_metric_dual_cold`` is the dual route as the library ran it
+before the candidates were chained: every candidate's dual program solved
+from the all-artificial basis, where the library starts each candidate
+after the first from the previous one's optimal basis.
+
 ``reference_metric_rows`` is the metric program's row builder as the
 library first ran it, reading each agent's ranks from a ``{x: rank}`` dict
 where ``oracles._metric_rows`` reads ``p.positions``; the two must build the
@@ -83,6 +88,7 @@ from distortion_lab.oracles import (
     _all_profiles,
     _first_max,
     _metric_closure,
+    _metric_rows,
     _metric_unbounded,
     _utilitarian_unbounded,
     rule_distortion,
@@ -282,6 +288,41 @@ def reference_metric_primal(lot: Lottery, p: Profile | TopTProfile) -> Distortio
     return DistortionReport(
         value=DistortionValue.finite(max(best_value, 1.0)),
         witness=_metric_closure(assignment[:nm].reshape(n, m), n, m),
+        arg_optimum=best_x,
+    )
+
+
+def reference_metric_dual_cold(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
+    """Worst case via the library's dual program, every candidate solved cold."""
+    unbounded = _metric_unbounded(lot, p)
+    if unbounded is not None:
+        return unbounded
+    n, m = p.n, p.m
+    nm = n * m
+    primal = _metric_rows(p)
+    nv = primal.shape[1]
+    cost = np.zeros(nv)
+    cost[:nm] = np.tile(lot.prob, n)
+    lhs = np.zeros((nv, primal.shape[0] + 1))
+    lhs[:, :-1] = primal.T
+    objective = np.zeros(lhs.shape[1])
+    objective[-1] = 1.0
+    rel = (">=",) * nv
+
+    def candidate(x_star: int) -> tuple[float, tuple[int, np.ndarray]]:
+        a = lhs.copy()
+        a[x_star:nm:m, -1] = 1.0
+        dual = lp.solve(
+            lp.LinearProgram(objective=objective, lhs=a, relations=rel, rhs=cost, maximize=False)
+        )
+        if dual.status != lp.OPTIMAL:
+            raise RuntimeError(f"dual metric program for x*={x_star} returned {dual.status}")
+        return dual.value, (x_star, dual.duals)
+
+    best_value, (best_x, y) = _first_max(candidate(x) for x in range(m))
+    return DistortionReport(
+        value=DistortionValue.finite(max(best_value, 1.0)),
+        witness=_metric_closure(y[:nm].reshape(n, m), n, m),
         arg_optimum=best_x,
     )
 

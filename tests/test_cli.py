@@ -154,6 +154,20 @@ class TestOracle:
         assert code == 3
 
     @pytest.mark.parametrize(
+        "prob", [[True, False, False], [1, False, 0], [0.5, 0.5, False]]
+    )
+    def test_boolean_lottery_rejected(self, inst, tmp_path, prob):
+        # Read as numbers, the first would be the point mass on 0.
+        lot_path = tmp_path / "lot.json"
+        lot_path.write_text(json.dumps({"prob": prob}))
+        code, out, err = run_cli(
+            ["oracle", "--world", "metric", "--lottery", str(lot_path),
+             "--instance", str(inst)]
+        )
+        assert code == 3 and out == ""
+        assert "not true or false" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "data",
         [
             {"m": 3, "n": 0, "rankings": []},

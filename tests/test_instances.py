@@ -168,6 +168,28 @@ class TestInstanceFiles:
         with pytest.raises(InstanceFormatError):
             dl.load_metric(path, 2, 3)
 
+    @pytest.mark.parametrize(
+        "loader, data, match",
+        [
+            (dl.load_lottery, {"prob": [True, False, False]}, "not true or false"),
+            (dl.load_utilities, {"util": [[0.5, 0.5], [True, 0.0]]}, "not true or false"),
+            (
+                lambda path: dl.load_metric(path, 1, 1),
+                {"points": 2, "dist": [[0, True], [True, 0]]},
+                "not true or false",
+            ),
+            (lambda path: dl.load_metric(path, 1, 1), {"points": 2.0, "dist": [[0, 1], [1, 0]]}, "integer"),
+            (lambda path: dl.load_metric(path, 1, 0), {"points": True, "dist": [[0]]}, "integer"),
+        ],
+        ids=["lottery-bool", "utilities-bool", "metric-bool", "metric-float-points", "metric-bool-points"],
+    )
+    def test_booleans_and_float_points_rejected(self, tmp_path, loader, data, match):
+        # np.asarray reads true as 1.0, and 2.0 == 2 would pass the points check.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(InstanceFormatError, match=match):
+            loader(path)
+
     def test_utilities_round_trip(self, tmp_path):
         u = dl.UtilityProfile(util=np.array([[0.5, 0.5], [1.0, 0.0]]))
         path = tmp_path / "u.json"

@@ -1,5 +1,6 @@
 """Unit tests for the two-phase simplex solver."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -180,18 +181,18 @@ class TestSolverError:
             lp_mod._check_feasible(program, np.array([5.0]))
 
 
-def _dual_case(case: int):
-    """A seeded feasible, bounded LP with <=, >= and = rows.
+def _dual_case(case: int, relations=("<=", ">=", "="), seed: int = 7_100):
+    """A seeded feasible, bounded LP with rows drawn from ``relations``.
 
     The rows pass through a random point x0 >= 0 (some coordinates 0), with
     slack on the inequalities, so many right-hand sides are negative and get
     flipped. A last row bounds sum(x) by 10, as a <= row or, on odd cases,
     as -sum(x) >= -10 (a flipped >= row).
     """
-    rng = np.random.default_rng(7_100 + case)
+    rng = np.random.default_rng(seed + case)
     nv, nr = int(rng.integers(2, 7)), int(rng.integers(2, 7))
     lhs = rng.uniform(-1.0, 1.0, size=(nr, nv))
-    rel = [str(r) for r in rng.choice(["<=", ">=", "="], size=nr)]
+    rel = [str(r) for r in rng.choice(list(relations), size=nr)]
     x0 = rng.uniform(0.0, 1.0, size=nv) * (rng.random(nv) < 0.7)
     slack = rng.uniform(0.0, 1.0, size=nr)
     sign = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[r] for r in rel])
@@ -280,3 +281,89 @@ class TestDuals:
     def test_only_optimal_outcomes_carry_duals(self):
         assert solve(_lp([1.0], np.empty((0, 1)), (), [])).duals is None
         assert solve(_lp([1.0], [[1.0]], ("<=",), [-1.0])).duals is None
+
+
+def _redrawn(lp: LinearProgram, seed: int) -> LinearProgram:
+    """``lp`` with its last column redrawn, except on the sum(x) bound row."""
+    lhs = lp.lhs.copy()
+    lhs[:-1, -1] = np.random.default_rng(seed).uniform(-1.0, 1.0, size=lp.n_rows - 1)
+    return dataclasses.replace(lp, lhs=lhs)
+
+
+class TestWarmStart:
+    """``solve(..., start=)`` from the optimal basis of a program that differs
+    only in the last column, against a cold solve."""
+
+    def test_matches_cold_solve(self):
+        optimal, statuses, flipped, senses, failures = 0, set(), 0, set(), []
+        for case in range(200):
+            lp = _dual_case(case, relations=("<=", ">="), seed=8_300)
+            out = solve(lp)
+            assert out.status == OPTIMAL, case
+            flipped += int((lp.rhs < 0).sum())
+            senses.add(lp.maximize)
+            # A chain of two: the second solve starts from a warm outcome.
+            for k in range(2):
+                lp = _redrawn(lp, 9_100 + 2 * case + k)
+                warm, cold = solve(lp, start=out), solve(lp)
+                statuses.add(cold.status)
+                if warm.status != cold.status:
+                    failures.append((case, k, warm.status, cold.status))
+                    break
+                if cold.status != OPTIMAL:
+                    break
+                optimal += 1
+                if abs(warm.value - cold.value) > 1e-9 * max(1.0, abs(cold.value)):
+                    failures.append((case, k, warm.value, cold.value))
+                failures += [(case, k, p) for p in _dual_problems(lp, warm)]
+                out = warm
+        assert failures == []
+        # The sampler must reach the optimal branch often, another status at
+        # least once, flipped rows and both senses.
+        assert optimal >= 300 and len(statuses) >= 2, (optimal, statuses)
+        assert flipped >= 100 and senses == {True, False}
+
+    def test_dump_stream_written(self):
+        # max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 ends at (2, 6);
+        # with y's column (0, 2, 6) the optimum is (4, 1), so the old y must
+        # leave the basis in phase 1.
+        rel = ("<=",) * 3
+        start = solve(_lp([3.0, 5.0], [[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]], rel, [4.0, 12.0, 18.0]))
+        buf = io.StringIO()
+        out = solve(
+            _lp([3.0, 5.0], [[1.0, 0.0], [0.0, 2.0], [3.0, 6.0]], rel, [4.0, 12.0, 18.0]),
+            dump=buf,
+            start=start,
+        )
+        assert out.status == OPTIMAL
+        assert out.value == pytest.approx(17.0)
+        text = buf.getvalue()
+        phase1, marker, phase2 = text.partition("--- phase 2 start")
+        assert marker and "pivot:" in phase1
+        assert text.count("pivot:") == phase1.count("pivot:") + phase2.count("pivot:")
+
+    def test_rejected_starts(self):
+        rel = ("<=", ">=")
+        lp = _lp([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], rel, [4.0, -1.0])
+        start = solve(lp)
+        assert start.status == OPTIMAL
+        redrawn = _lp([1.0, 1.0], [[1.0, 2.0], [1.0, 0.5]], rel, [4.0, -1.0])
+        assert solve(redrawn, start=start).status == OPTIMAL
+        # Another first column, or another right-hand side.
+        for other in (
+            _lp([1.0, 1.0], [[2.0, 2.0], [1.0, 0.5]], rel, [4.0, -1.0]),
+            _lp([1.0, 1.0], [[1.0, 2.0], [1.0, 0.5]], rel, [5.0, -1.0]),
+        ):
+            with pytest.raises(ValueError, match="differs only in the last"):
+                solve(other, start=start)
+        # A program with = rows.
+        eq = _lp([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], ("<=", "="), [4.0, 0.0])
+        eq_start = solve(eq)
+        assert eq_start.status == OPTIMAL
+        with pytest.raises(ValueError, match="only <= and >= rows"):
+            solve(_lp([1.0, 1.0], [[1.0, 2.0], [1.0, -2.0]], ("<=", "="), [4.0, 0.0]), start=eq_start)
+        # A start that is not optimal.
+        unbounded = solve(_lp([1.0, 1.0], [[1.0, -1.0]], ("<=",), [1.0]))
+        assert unbounded.status == UNBOUNDED
+        with pytest.raises(ValueError, match="optimal outcome"):
+            solve(_lp([1.0, 1.0], [[1.0, 1.0]], ("<=",), [1.0]), start=unbounded)

@@ -1,5 +1,6 @@
 """Unit tests for the worst-case distortion oracles."""
 
+import dataclasses
 import itertools
 import math
 
@@ -14,6 +15,7 @@ from distortion_lab.cli import RULES, make_rule
 from reference_oracles import (
     reference_completion_max,
     reference_exhaustive_worst_case,
+    reference_metric_dual_cold,
     reference_metric_primal,
     reference_metric_report,
     reference_metric_rows,
@@ -383,6 +385,85 @@ class TestDualCrossCheck:
         )
 
 
+def _warm_chain_cases():
+    """``_three_route_cases`` plus seeded top-t profiles at n <= 8, m <= 6."""
+    yield from _three_route_cases(300, seed=59_000, n_max=6)
+    for case in range(120):
+        rng = np.random.default_rng(67_000 + case)
+        n, m = int(rng.integers(2, 9)), int(rng.integers(3, 7))
+        p = dl.truncate_profile(dl.random_profile(n, m, seed=67_000 + case), int(rng.integers(1, m)))
+        lot = dl.top_t_truncated_harmonic(p) if case % 2 else random_lottery(rng, m)
+        yield 300 + case, lot, p
+
+
+class TestWarmChainCrossCheck:
+    """Each candidate's dual program started from the previous candidate's
+    optimal basis, against every candidate solved cold."""
+
+    def test_matches_cold_reference(self, monkeypatch, acceptance_notes):
+        solve, log = lp_mod.solve, []
+
+        def recording(program, **kwargs):
+            out = solve(program, **kwargs)
+            log.append((program, "start" in kwargs, out))
+            return out
+
+        monkeypatch.setattr(oracles_mod.lp, "solve", recording)
+        count, finite, near_tol, worst, moved, mismatches = 0, 0, 0, 0.0, 0, []
+        for case, lot, p in _warm_chain_cases():
+            count += 1
+            log.clear()
+            got = metric_distortion(lot, p)
+            chain = log[:]
+            log.clear()
+            want = reference_metric_dual_cold(lot, p)
+            cold = [out.value for _, _, out in log]
+            assert dl.is_metric_consistent(got.witness, p), case
+            evaluated = dl.eval_distortion(lot, got.witness)
+            assert evaluated.is_unbounded == got.value.is_unbounded, case
+            if got.value.is_unbounded != want.value.is_unbounded:
+                mismatches.append((case, got.value, want.value))
+                continue
+            if got.value.is_unbounded:
+                assert chain == [] and got.arg_optimum == want.arg_optimum, case
+                continue
+            finite += 1
+            assert abs(evaluated.value - got.value.value) <= 1e-5, case
+            # Candidate 0 is solved cold, and to the bit as a cold solve.
+            assert [warm for _, warm, _ in chain] == [False] + [True] * (p.m - 1), case
+            program, _, first = chain[0]
+            again = solve(program)
+            assert first.value == again.value, case
+            assert first.duals.tobytes() == again.duals.tobytes(), case
+            gap = abs(got.value.value - want.value.value) / want.value.value
+            # A positive mass within 10 * PIVOT_TOL puts reduced costs of
+            # that size in the dual, below which both solves stop, so two
+            # optimal bases may then differ by about PIVOT_TOL in value.
+            if lot.prob[lot.prob > 0].min() < 10 * lp_mod.PIVOT_TOL:
+                near_tol, bound = near_tol + 1, 1e-9
+            else:
+                worst, bound = max(worst, gap), 1e-12
+            # Another optimum may win only if the cold values tie it.
+            tied = abs(cold[got.arg_optimum] - cold[want.arg_optimum]) <= 1e-9 * max(cold)
+            if gap > bound or not (got.arg_optimum == want.arg_optimum or tied):
+                mismatches.append((case, got.value, want.value, got.arg_optimum, want.arg_optimum))
+            moved += got.arg_optimum != want.arg_optimum
+        assert mismatches == []
+        assert finite >= count // 2
+        acceptance_notes.append(
+            f"metric warm chain vs cold candidates: {count} cases ({finite} finite), "
+            f"worst relative gap {worst:.1e} ({near_tol} cases with a mass below "
+            f"1e-9 held to 1e-9), {moved} tied arg_optimum changes"
+        )
+
+    @pytest.mark.parametrize("rule, value", [(dl.plurality, 5.0), (dl.copeland, 3.0)])
+    def test_exact_table_values_stay_exact(self, rule, value):
+        # Both worst cases are won by a warm-started candidate. Without the
+        # refinement of the warm basic values they read 4.999999999999995
+        # and 2.999999999999999.
+        assert exhaustive_worst_case(rule, 3, 3, "metric")[0].value == value
+
+
 class TestMetricProgramShape:
     """The oracle solves the dual: one row per primal variable, m programs.
 
@@ -556,12 +637,10 @@ class TestTypedFailures:
     def test_failed_primal_check_is_a_certificate_error(self, monkeypatch):
         solve = lp_mod.solve
 
-        def wrong_duals(program):
-            out = solve(program)
-            return lp_mod.LPOutcome(
-                status=out.status, value=out.value, assignment=out.assignment,
-                duals=-out.duals,
-            )
+        def wrong_duals(program, **kwargs):
+            out = solve(program, **kwargs)
+            # A later candidate starts from this outcome, so keep its basis.
+            return dataclasses.replace(out, duals=-out.duals)
 
         monkeypatch.setattr(oracles_mod.lp, "solve", wrong_duals)
         with pytest.raises(dl.CertificateError, match="primal certificate"):
@@ -582,6 +661,13 @@ class TestExhaustiveWorstCase:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             exhaustive_worst_case(dl.plurality, 6, 6, "metric", budget=1000)
+
+    @pytest.mark.parametrize("t", [0, -1, 4])
+    def test_t_out_of_range(self, monkeypatch, t):
+        # Refused before any profile is counted.
+        monkeypatch.setattr(oracles_mod, "_profile_count", None)
+        with pytest.raises(ValueError, match=f"t={t} out of range for m=3"):
+            exhaustive_worst_case(dl.plurality, 2, 3, "metric", t=t)
 
     def test_prefix_enumeration(self):
         value, profile = exhaustive_worst_case(
