@@ -26,8 +26,8 @@ library, reported on one stderr line). The enumeration budget caps the
 brute-force twin (``oracle --check-bruteforce``) and exhaustive
 ``reproduce`` tables; top-t oracles solve one exact prefix program and
 need none. The environment variable ``DISTORTION_LAB_BUDGET`` overrides
-the default budget (a non-integer value exits 4 where a budget is read);
-an explicit ``--budget`` flag wins over both.
+the default budget; an explicit ``--budget`` flag wins over both. A budget
+that is not an integer or is negative exits 4 where a budget is read.
 """
 
 from __future__ import annotations
@@ -196,18 +196,23 @@ def _apply_rule(args, p: Profile | TopTProfile) -> Lottery:
 
 
 def _budget(args) -> int:
-    """``--budget``, else ``DISTORTION_LAB_BUDGET``, else the library default."""
+    """``--budget``, else ``DISTORTION_LAB_BUDGET``, else the library default;
+    a negative budget exits 4 (0 is valid and admits no enumeration)."""
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get("DISTORTION_LAB_BUDGET")
-    if env is None:
-        return oracles.DEFAULT_ENUMERATION_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise CliError(
-            EXIT_BAD_PARAMS, f"DISTORTION_LAB_BUDGET must be an integer, got {env!r}"
-        )
+        budget, source = args.budget, "--budget"
+    else:
+        env = os.environ.get("DISTORTION_LAB_BUDGET")
+        if env is None:
+            return oracles.DEFAULT_ENUMERATION_BUDGET
+        try:
+            budget, source = int(env), "DISTORTION_LAB_BUDGET"
+        except ValueError:
+            raise CliError(
+                EXIT_BAD_PARAMS, f"DISTORTION_LAB_BUDGET must be an integer, got {env!r}"
+            )
+    if budget < 0:
+        raise CliError(EXIT_BAD_PARAMS, f"{source} needs an integer >= 0, got {budget}")
+    return budget
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,12 @@ before the candidates were chained: every candidate's dual program solved
 from the all-artificial basis, where the library starts each candidate
 after the first from the previous one's optimal basis.
 
+``reference_metric_per_agent`` is the chained dual route as the library ran
+it before the program was collapsed to one block per distinct ballot: one
+block of m distances, chain rows and pair rows per agent, so agents who
+cast the same ballot get identical blocks. On profiles whose ballots are
+all distinct the two build the same arrays and must agree to the bit.
+
 ``reference_metric_rows`` is the metric program's row builder as the
 library first ran it, reading each agent's ranks from a ``{x: rank}`` dict
 where ``oracles._metric_rows`` reads ``p.positions``; the two must build the
@@ -299,7 +305,7 @@ def reference_metric_dual_cold(lot: Lottery, p: Profile | TopTProfile) -> Distor
         return unbounded
     n, m = p.n, p.m
     nm = n * m
-    primal = _metric_rows(p)
+    primal = _metric_rows(p, range(p.n))
     nv = primal.shape[1]
     cost = np.zeros(nv)
     cost[:nm] = np.tile(lot.prob, n)
@@ -320,6 +326,45 @@ def reference_metric_dual_cold(lot: Lottery, p: Profile | TopTProfile) -> Distor
         return dual.value, (x_star, dual.duals)
 
     best_value, (best_x, y) = _first_max(candidate(x) for x in range(m))
+    return DistortionReport(
+        value=DistortionValue.finite(max(best_value, 1.0)),
+        witness=_metric_closure(y[:nm].reshape(n, m), n, m),
+        arg_optimum=best_x,
+    )
+
+
+def reference_metric_per_agent(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
+    """Worst case via one dual block per agent, the candidates chained
+    through ``lp.solve``'s ``start`` as the library chains them."""
+    unbounded = _metric_unbounded(lot, p)
+    if unbounded is not None:
+        return unbounded
+    n, m = p.n, p.m
+    nm = n * m
+    primal = _metric_rows(p, range(p.n))
+    nv = primal.shape[1]
+    cost = np.zeros(nv)
+    cost[:nm] = np.tile(lot.prob, n)
+    lhs = np.zeros((nv, primal.shape[0] + 1))
+    lhs[:, :-1] = primal.T
+    objective = np.zeros(lhs.shape[1])
+    objective[-1] = 1.0
+    rel = (">=",) * nv
+
+    def candidates() -> Iterator[tuple[float, tuple[int, np.ndarray]]]:
+        dual = None
+        for x_star in range(m):
+            a = lhs.copy()
+            a[x_star:nm:m, -1] = 1.0
+            program = lp.LinearProgram(
+                objective=objective, lhs=a, relations=rel, rhs=cost, maximize=False
+            )
+            dual = lp.solve(program) if dual is None else lp.solve(program, start=dual)
+            if dual.status != lp.OPTIMAL:
+                raise RuntimeError(f"dual metric program for x*={x_star} returned {dual.status}")
+            yield dual.value, (x_star, dual.duals)
+
+    best_value, (best_x, y) = _first_max(candidates())
     return DistortionReport(
         value=DistortionValue.finite(max(best_value, 1.0)),
         witness=_metric_closure(y[:nm].reshape(n, m), n, m),

@@ -618,6 +618,25 @@ class TestReproduce:
         assert "--sample" in err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_budget(self, tmp_path, monkeypatch, source):
+        out_csv = tmp_path / "t.csv"
+        base = ["reproduce", "--n", "2", "--m", "2", "--output", str(out_csv),
+                "--rules", "plurality"]
+        if source == "flag":
+            code, out, err = run_cli(base + ["--budget", "-5"])
+        else:
+            monkeypatch.setenv("DISTORTION_LAB_BUDGET", "-5")
+            code, out, err = run_cli(base)
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1
+        assert ("--budget" if source == "flag" else "DISTORTION_LAB_BUDGET") in err
+        assert not out_csv.exists()
+        # A budget of 0 is valid: it admits no profile, so --sample is needed.
+        monkeypatch.delenv("DISTORTION_LAB_BUDGET", raising=False)
+        assert run_cli(base + ["--budget", "0"])[0] == 6
+        assert run_cli(base + ["--budget", "0", "--sample", "1"])[0] == 0
+
     def test_negative_seed(self, tmp_path):
         out_csv = tmp_path / "t.csv"
         code, out, err = run_cli(

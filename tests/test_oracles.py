@@ -16,6 +16,7 @@ from reference_oracles import (
     reference_completion_max,
     reference_exhaustive_worst_case,
     reference_metric_dual_cold,
+    reference_metric_per_agent,
     reference_metric_primal,
     reference_metric_report,
     reference_metric_rows,
@@ -464,19 +465,115 @@ class TestWarmChainCrossCheck:
         assert exhaustive_worst_case(rule, 3, 3, "metric")[0].value == value
 
 
+def _sampled_ballots(rng: np.random.Generator, m: int, t: int, count: int) -> list:
+    """``count`` distinct top-t ballots (full rankings at t = m), drawn at random."""
+    ballots = list(itertools.permutations(range(m), t))
+    return [ballots[j] for j in rng.choice(len(ballots), count, replace=False)]
+
+
+def _seeded_lottery(rng: np.random.Generator, case: int, p) -> Lottery:
+    """The truncated harmonic lottery of the ballot kind, random dictatorship
+    or a random lottery with about 30% zero-mass entries, by case."""
+    if case % 3 == 0:
+        full = isinstance(p, Profile)
+        return dl.truncated_harmonic(p) if full else dl.top_t_truncated_harmonic(p)
+    return dl.random_dictatorship(p) if case % 3 == 1 else random_lottery(rng, p.m)
+
+
+def _distinct_ballot_cases(count: int):
+    """Seeded profiles whose ballots are all distinct: n <= 6, m in 3..5, a
+    third top-t."""
+    for case in range(count):
+        rng = np.random.default_rng(83_000 + case)
+        m = int(rng.integers(3, 6))
+        t = int(rng.integers(1, m)) if case % 3 == 2 else m
+        n = int(rng.integers(2, min(6, math.perm(m, t)) + 1))
+        ballots = _sampled_ballots(rng, m, t, n)
+        p = Profile(m, ballots) if t == m else TopTProfile(m, t, ballots)
+        yield case, _seeded_lottery(rng, case, p), p
+
+
+def _pooled_ballot_cases(count: int):
+    """Seeded profiles that repeat ballots: k = 1..3 distinct ballots cast by
+    n in k+1..9 agents, m <= 4, every other profile top-t."""
+    for case in range(count):
+        rng = np.random.default_rng(89_000 + case)
+        m = int(rng.integers(2, 5))
+        t = int(rng.integers(1, m)) if case % 2 else m
+        pool = _sampled_ballots(rng, m, t, min(1 + case % 3, math.perm(m, t)))
+        n = int(rng.integers(len(pool) + 1, 10))
+        ballots = pool + [pool[j] for j in rng.integers(len(pool), size=n - len(pool))]
+        ballots = [ballots[j] for j in rng.permutation(n)]
+        p = Profile(m, ballots) if t == m else TopTProfile(m, t, ballots)
+        yield case, _seeded_lottery(rng, case, p), p
+
+
+class TestPerAgentCrossCheck:
+    """One block per distinct ballot against one block per agent."""
+
+    def test_distinct_ballots_match_bit_for_bit(self, acceptance_notes):
+        count, finite, mismatches = 240, 0, []
+        for case, lot, p in _distinct_ballot_cases(count):
+            assert len(set(p.ballots)) == p.n, case
+            got = metric_distortion(lot, p)
+            want = reference_metric_per_agent(lot, p)
+            finite += got.value.is_finite
+            if not (
+                got.value == want.value
+                and got.arg_optimum == want.arg_optimum
+                and got.witness.dist.tobytes() == want.witness.dist.tobytes()
+            ):
+                mismatches.append((case, got.value, want.value))
+        assert mismatches == []
+        assert finite >= count // 2
+        acceptance_notes.append(
+            f"metric blocks per distinct ballot vs per agent, all ballots distinct: "
+            f"{count} cases ({finite} finite), {len(mismatches)} mismatches "
+            "(value, arg_optimum and witness bytes)"
+        )
+
+    def test_pooled_ballots_match(self, acceptance_notes):
+        count, finite, worst, mismatches = 240, 0, 0.0, []
+        for case, lot, p in _pooled_ballot_cases(count):
+            assert len(set(p.ballots)) < p.n, case
+            got = metric_distortion(lot, p)
+            assert dl.is_metric_consistent(got.witness, p), case
+            evaluated = dl.eval_distortion(lot, got.witness)
+            assert evaluated.is_unbounded == got.value.is_unbounded, case
+            want = reference_metric_per_agent(lot, p)
+            same = got.value.is_unbounded == want.value.is_unbounded
+            if same and got.value.is_unbounded:
+                same = got.arg_optimum == want.arg_optimum
+            elif same:
+                finite += 1
+                assert abs(evaluated.value - got.value.value) <= 1e-5, case
+                gap = abs(got.value.value - want.value.value) / want.value.value
+                worst = max(worst, gap)
+                # As in the dual/primal cross-check: another optimum may win
+                # only if its value ties the best.
+                same = gap <= 1e-6 and (got.arg_optimum == want.arg_optimum or gap <= 1e-9)
+            if not same:
+                mismatches.append((case, got.value, want.value, got.arg_optimum, want.arg_optimum))
+        assert mismatches == []
+        assert finite >= count // 2
+        acceptance_notes.append(
+            f"metric blocks per distinct ballot vs per agent, repeated ballots: "
+            f"{count} cases ({finite} finite), worst relative gap {worst:.1e}"
+        )
+
+
 class TestMetricProgramShape:
     """The oracle solves the dual: one row per primal variable, m programs.
 
-    The primal has n(m-1) consistency rows, n*m(m-1)/2 pair rows
-    d(i,X) - d(i,Y) <= e(X,Y) that the ballots do not imply, n(m-t)(m-t-1)/2
-    more for the second direction of two unranked alternatives, and
-    n*m(m-1)/2 rows e(X,Y) <= d(j,X) + d(j,Y); one more dual column is lambda.
+    The primal has one block per distinct ballot, k of them: k(m-1)
+    consistency rows, k*m(m-1)/2 pair rows d(b,X) - d(b,Y) <= e(X,Y) that
+    the ballots do not imply, k(m-t)(m-t-1)/2 more for the second direction
+    of two unranked alternatives, and k*m(m-1)/2 rows
+    e(X,Y) <= d(b,X) + d(b,Y); one more dual column is lambda.
     """
 
-    def test_dual_shape(self, monkeypatch):
-        n, m = 5, 4
-        p = dl.random_profile(n, m, seed=3)
-        lot = dl.truncated_harmonic(p)
+    @staticmethod
+    def recorded_programs(monkeypatch, lot, p):
         seen = []
         solve = dl.lp.solve
 
@@ -485,34 +582,44 @@ class TestMetricProgramShape:
             return solve(prog, **kwargs)
 
         monkeypatch.setattr(dl.lp, "solve", recording)
-        rep = metric_distortion(lot, p)
-        assert rep.value.is_finite
+        assert metric_distortion(lot, p).value.is_finite
+        return seen
+
+    def check_full_shape(self, monkeypatch, p, k):
+        n, m = p.n, p.m
+        assert len(set(p.ballots)) == k < n
+        seen = self.recorded_programs(monkeypatch, dl.truncated_harmonic(p), p)
         assert len(seen) == m
-        consistency_rows = n * (m - 1)
-        pair_rows = n * m * (m - 1) // 2 + n * m * (m - 1) // 2
+        consistency_rows = k * (m - 1)
+        pair_rows = k * m * (m - 1) // 2 + k * m * (m - 1) // 2
         for prog in seen:
-            assert prog.n_rows == n * m + m * (m - 1) // 2
+            assert prog.n_rows == k * m + m * (m - 1) // 2
             assert prog.n_vars == consistency_rows + pair_rows + 1
             assert set(prog.relations) == {">="} and not prog.maximize
+
+    def test_dual_shape(self, monkeypatch):
+        # Agents 1 and 2 cast the same ballot.
+        self.check_full_shape(monkeypatch, dl.random_profile(5, 4, seed=3), k=4)
+
+    def test_pooled_dual_shape(self, monkeypatch):
+        p = Profile(4, [(0, 1, 2, 3)] * 3 + [(3, 2, 1, 0)] * 2 + [(0, 1, 2, 3)])
+        self.check_full_shape(monkeypatch, p, k=2)
 
     @pytest.mark.parametrize("t, rows", [(1, 90), (2, 80), (3, 75)])
     def test_top_t_dual_shape(self, monkeypatch, t, rows):
         n, m = 5, 4
         p = dl.truncate_profile(dl.random_profile(n, m, seed=3), t)
-        seen = []
-        solve = dl.lp.solve
-
-        def recording(prog, **kwargs):
-            seen.append(prog)
-            return solve(prog, **kwargs)
-
-        monkeypatch.setattr(dl.lp, "solve", recording)
-        assert metric_distortion(dl.random_dictatorship(p), p).value.is_finite
+        # Two of the five top-1 ballots differ, four of the longer ones.
+        k = len(set(p.ballots))
+        assert k == (2 if t == 1 else 4)
+        seen = self.recorded_programs(monkeypatch, dl.random_dictatorship(p), p)
         assert len(seen) == m
-        assert rows == n * (m - 1) + n * m * (m - 1) + n * (m - t) * (m - t - 1) // 2
+        # rows is the primal row count of n blocks; each block has rows / n.
+        per_ballot = (m - 1) + m * (m - 1) + (m - t) * (m - t - 1) // 2
+        assert rows == n * per_ballot
         for prog in seen:
-            assert prog.n_rows == n * m + m * (m - 1) // 2
-            assert prog.n_vars == rows + 1
+            assert prog.n_rows == k * m + m * (m - 1) // 2
+            assert prog.n_vars == k * per_ballot + 1
 
 
 def _completion_cases(count: int, max_completions: int = 16):
@@ -835,7 +942,8 @@ class TestMetricRowsCrossCheck:
             p = dl.random_profile(n, m, seed=67_000 + case)
             if case % 2 and m > 1:
                 p = dl.truncate_profile(p, int(rng.integers(1, m)))
-            assert np.array_equal(oracles_mod._metric_rows(p), reference_metric_rows(p)), case
+            got = oracles_mod._metric_rows(p, range(p.n))
+            assert np.array_equal(got, reference_metric_rows(p)), case
 
 
 def _mirrored_instance(rng: np.random.Generator) -> tuple[Profile, Lottery]:
