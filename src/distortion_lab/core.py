@@ -242,7 +242,7 @@ class MetricSpace:
             raise ValueError("dist must be symmetric within 1e-9")
         if np.abs(np.diagonal(a)).max(initial=0.0) > STRUCT_TOL:
             raise ValueError("dist diagonal must be zero within 1e-9")
-        a = np.clip((a + a.T) / 2.0, 0.0, None)
+        a = np.maximum((a + a.T) / 2.0, 0.0)
         np.fill_diagonal(a, 0.0)
         for k in range(size):
             slack = a - (a[:, k, None] + a[None, k, :])
@@ -278,7 +278,7 @@ class UtilityProfile:
         if np.abs(rows - 1.0).max(initial=0.0) > STRUCT_TOL:
             bad = int(np.argmax(np.abs(rows - 1.0)))
             raise ValueError(f"row {bad} sums to {rows[bad]}, expected 1 within 1e-9")
-        u = np.clip(u, 0.0, None)
+        u = np.maximum(u, 0.0)
         u.setflags(write=False)
         object.__setattr__(self, "util", u)
 
@@ -307,7 +307,7 @@ class Lottery:
             raise ValueError("prob entries must be nonnegative")
         if abs(v.sum() - 1.0) > LOTTERY_TOL:
             raise ValueError(f"prob sums to {v.sum()}, expected 1 within 1e-12")
-        v = np.clip(v, 0.0, None)
+        v = np.maximum(v, 0.0)
         v.setflags(write=False)
         object.__setattr__(self, "prob", v)
 

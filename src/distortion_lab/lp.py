@@ -224,13 +224,14 @@ def solve(
     n = lp.n_vars
     lb = lp.lower_bounds
     # Shift to y = x - lb >= 0.
-    a = lp.lhs.copy()
+    a = lp.lhs
     b = lp.rhs - a @ lb
     rel = list(lp.relations)
     c = lp.objective if lp.maximize else -lp.objective
 
     flip = b < 0
     if flip.any():
+        a = a.copy()
         a[flip] *= -1.0
         b = np.where(flip, -b, b)
         rel = [_FLIPPED[r] if f else r for r, f in zip(rel, flip)]

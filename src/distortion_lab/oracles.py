@@ -66,13 +66,16 @@ or unbounded, comes with a concrete witness instance.
   vertex: uniform mass on the top k of its ballot, or on its whole prefix
   plus the unranked alternatives of largest gain [y = X*] - lambda * p_y.
   lambda becomes that combination's ratio until it stops rising; the final
-  combination is the witness. Each step is taken for all agents at once
-  on the (n, m) rank matrix ``p.positions`` (rank m if unranked): every
-  agent's order is its ballot followed by its unranked alternatives by
-  gain, ties by index, and its k is the first maximum of the running mean
-  gains along that order. The sums run left to right per agent and the
-  first maximum wins, as in a loop over agents, so the result is the same
-  to the bit.
+  combination is the witness. The candidates step in lockstep: each round
+  is taken for every X* whose ratio still rises and for all agents at once
+  on the (n, m) rank matrix ``p.positions`` (rank m if unranked), and an
+  X* whose ratio stops rising leaves the round. Every agent's order is its
+  ballot followed by its unranked alternatives by gain, ties by index, and
+  its k is the first maximum of the running mean gains along that order;
+  when every ballot is a full ranking, the order is the ballot whatever the
+  gains and is sorted once per call. The sums run left to right per agent,
+  the first maximum wins and each ratio is summed per candidate, as in a
+  loop over candidates and agents, so the result is the same to the bit.
 
 A brute-force twin for full ballots scans all m^n combinations of the same
 vertices, checking the per-agent choice against the whole product.
@@ -427,20 +430,27 @@ def _utilitarian_unbounded(
 def _utilitarian_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
     """Worst case over unit-sum utility profiles consistent with the ballots.
 
-    Dinkelbach's iteration (module docstring) per x* from lambda = 0, until
-    lambda rises by at most a relative 1e-12. Each step serves all agents
-    at once. ``rank = p.positions`` holds x's place on agent i's ballot at
-    [i, x], m if x is unranked. Per lambda, one stable sort of the gains
-    places the unranked alternatives by gain (ties by index) after every
-    ballot. Running means of the gains along each agent's order give its k
-    (the first maximum, so ties between vertices go to the smallest k), and
-    its vertex is uniform on its first k alternatives. Every agent's
-    cumulative sum runs left to right, the argmax keeps the first maximum
-    and 1/k is the same double, just as in a loop over the agents, so the
-    vertices are the same bits. Every vertex holds the agent's top choice,
-    so after the support test the expected welfare is positive; at
-    lambda = 0 every best vertex holds x*, so the first ratio is positive
-    and the loop keeps a combination.
+    Dinkelbach's iteration (module docstring) for every x* at once, from
+    lambda = 0, until lambda rises by at most a relative 1e-12. ``lam``
+    holds each x*'s ratio, ``util`` its combination and ``live`` the x*
+    whose ratio still rises; each round is taken for every live x* and
+    every agent at once, on (C, n, m) arrays for C live candidates.
+    ``rank = p.positions`` holds x's place on agent i's ballot at [i, x],
+    m if x is unranked. Per round, one stable sort of each candidate's
+    gains places the unranked alternatives by gain (ties by index) after
+    every ballot; when every alternative is ranked, every agent's order is
+    its ballot whatever the gains, so it is sorted once per call and each
+    vertex is 1/k wherever rank < k. Running means of the gains along each
+    agent's order give its k (the first maximum, so ties between vertices
+    go to the smallest k), and its vertex is uniform on its first k
+    alternatives. Every candidate's arithmetic is that of a loop over the
+    candidates and agents: each cumulative sum runs left to right, the
+    argmax keeps the first maximum, 1/k is the same double, the welfare
+    sums the agents in order and each ratio's dot product is taken on one
+    candidate's 1-D welfare, so the values and vertices are the same bits.
+    Every vertex holds the agent's top choice, so after the support test
+    the expected welfare is positive; at lambda = 0 every best vertex holds
+    x*, so every first ratio is positive and every x* keeps a combination.
     """
     unbounded = _utilitarian_unbounded(lot, p)
     if unbounded is not None:
@@ -448,32 +458,45 @@ def _utilitarian_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionRep
     n, m = p.n, p.m
     rank = p.positions
     ranked = rank < m
+    full = bool(ranked.all())
+    if full:
+        order = rank.argsort(axis=1, kind="stable")
     agents = np.arange(n)[:, None]
     sizes = np.arange(1, m + 1)
     after = m + np.arange(m)
-
-    def candidate(x_star: int) -> tuple[float, tuple[int, np.ndarray]]:
-        lam, util = 0.0, None
-        while True:
-            gain = -lam * lot.prob
-            gain[x_star] += 1.0
+    lam = np.zeros(m)
+    util: list[np.ndarray | None] = [None] * m
+    live = list(range(m))
+    while live:
+        rows = np.arange(len(live))[:, None]
+        gain = -lam[live, None] * lot.prob
+        gain[rows[:, 0], live] += 1.0
+        if not full:
             # Unranked alternatives sort after every ballot, by gain.
-            key = np.empty(m, dtype=np.int64)
-            key[(-gain).argsort(kind="stable")] = after
-            order = np.where(ranked, rank, key).argsort(axis=1, kind="stable")
-            k = (gain[order].cumsum(axis=1) / sizes).argmax(axis=1)[:, None] + 1
-            vertices = np.zeros((n, m))
-            vertices[agents, order] = np.where(sizes <= k, 1.0 / k, 0.0)
-            welfare = vertices.sum(axis=0)
-            ratio = float(welfare[x_star]) / float(lot.prob @ welfare)
-            if ratio <= lam * (1.0 + 1e-12):
-                return lam, (x_star, util)
-            lam, util = ratio, vertices
+            key = np.empty((len(live), m), dtype=np.int64)
+            key[rows, (-gain).argsort(axis=1, kind="stable")] = after
+            order = np.where(ranked, rank, key[:, None, :]).argsort(axis=2, kind="stable")
+        cands = rows[:, :, None]
+        k = (gain[cands, order].cumsum(axis=2) / sizes).argmax(axis=2)[:, :, None] + 1
+        if full:
+            vertices = np.where(rank < k, 1.0 / k, 0.0)
+        else:
+            vertices = np.zeros((len(live), n, m))
+            vertices[cands, agents, order] = np.where(sizes <= k, 1.0 / k, 0.0)
+        welfare = vertices.sum(axis=1)
+        rising = []
+        for c, x_star in enumerate(live):
+            ratio = float(welfare[c, x_star]) / float(lot.prob @ welfare[c])
+            if ratio <= lam[x_star] * (1.0 + 1e-12):
+                continue
+            lam[x_star], util[x_star] = ratio, vertices[c]
+            rising.append(x_star)
+        live = rising
 
-    best_value, (best_x, best_util) = _first_max(candidate(x) for x in range(m))
+    best_value, best_x = _first_max((float(lam[x]), x) for x in range(m))
     return DistortionReport(
         value=DistortionValue.finite(max(best_value, 1.0)),
-        witness=UtilityProfile(best_util),
+        witness=UtilityProfile(util[best_x]),
         arg_optimum=best_x,
     )
 

@@ -107,8 +107,10 @@ def _veto(ballots: tuple[tuple[int, ...], ...], m: int) -> list[tuple[int, int, 
     alive = [s > 0 for s in scores]
     events = []
     for i, ballot in enumerate(ballots):
-        ranked = set(ballot)
-        left_out = [x for x in range(m) if alive[x] and x not in ranked]
+        left_out = ()
+        if len(ballot) < m:  # a full ranking leaves nothing out
+            ranked = set(ballot)
+            left_out = [x for x in range(m) if alive[x] and x not in ranked]
         target = left_out[-1] if left_out else next(x for x in reversed(ballot) if alive[x])
         scores[target] -= 1
         if scores[target] == 0:

@@ -15,7 +15,10 @@ the route the library ran before its per-agent vertex choice: the support
 test, then the same program, raising where that route raised.
 ``reference_utilitarian_dinkelbach`` is that vertex choice as the library
 first ran it, one agent at a time, before each Dinkelbach step was taken
-for all agents at once; the two must agree to the bit.
+for all agents at once. ``reference_utilitarian_per_candidate`` takes each
+step for all agents at once but runs the candidates one after another,
+as the library did before it stepped every candidate in lockstep. The
+library must agree with both to the bit.
 
 ``reference_metric_primal`` is the compact metric route the library ran
 before it solved the dual: the closure test, then per X* the primal
@@ -497,6 +500,57 @@ def reference_utilitarian_dinkelbach(
             welfare = vertices.sum(axis=0)
             ratio = float(welfare[x_star]) / float(lot.prob @ welfare)
             if ratio <= lam * (1.0 + 1e-12):
+                return lam, (x_star, util)
+            lam, util = ratio, vertices
+
+    best_value, (best_x, best_util) = _first_max(candidate(x) for x in range(m))
+    return DistortionReport(
+        value=DistortionValue.finite(max(best_value, 1.0)),
+        witness=UtilityProfile(best_util),
+        arg_optimum=best_x,
+    )
+
+
+def reference_utilitarian_per_candidate(
+    lot: Lottery, p: Profile | TopTProfile, steps: list[int] | None = None
+) -> DistortionReport:
+    """The library's former candidate loop: Dinkelbach's iteration for one
+    x* at a time, each step for all agents at once.
+
+    The support test, then per x* from lambda = 0: one stable sort of the
+    gains places the unranked alternatives after every ballot (ties by
+    index), one stable sort of the (n, m) key orders every agent, and the
+    first maximum of the running mean gains gives each agent's k. If
+    ``steps`` is a list, the number of steps each x* took is appended to it
+    in candidate order.
+    """
+    unbounded = _utilitarian_unbounded(lot, p)
+    if unbounded is not None:
+        return unbounded
+    n, m = p.n, p.m
+    rank = p.positions
+    ranked = rank < m
+    agents = np.arange(n)[:, None]
+    sizes = np.arange(1, m + 1)
+    after = m + np.arange(m)
+
+    def candidate(x_star: int) -> tuple[float, tuple[int, np.ndarray]]:
+        lam, util, taken = 0.0, None, 0
+        while True:
+            taken += 1
+            gain = -lam * lot.prob
+            gain[x_star] += 1.0
+            key = np.empty(m, dtype=np.int64)
+            key[(-gain).argsort(kind="stable")] = after
+            order = np.where(ranked, rank, key).argsort(axis=1, kind="stable")
+            k = (gain[order].cumsum(axis=1) / sizes).argmax(axis=1)[:, None] + 1
+            vertices = np.zeros((n, m))
+            vertices[agents, order] = np.where(sizes <= k, 1.0 / k, 0.0)
+            welfare = vertices.sum(axis=0)
+            ratio = float(welfare[x_star]) / float(lot.prob @ welfare)
+            if ratio <= lam * (1.0 + 1e-12):
+                if steps is not None:
+                    steps.append(taken)
                 return lam, (x_star, util)
             lam, util = ratio, vertices
 

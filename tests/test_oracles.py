@@ -22,6 +22,7 @@ from reference_oracles import (
     reference_metric_rows,
     reference_utilitarian_dinkelbach,
     reference_utilitarian_lp,
+    reference_utilitarian_per_candidate,
     reference_utilitarian_report,
 )
 from distortion_lab import (
@@ -329,28 +330,38 @@ def _dinkelbach_cases(count: int):
 
 
 class TestDinkelbachCrossCheck:
-    """The all-agents Dinkelbach step against the per-agent loop it replaced."""
+    """The lockstep Dinkelbach iteration against the per-candidate loop it
+    replaced and the per-agent loop before that."""
 
     def test_matches_per_agent_loop_bit_for_bit(self, acceptance_notes):
-        count, shapes, mismatches = 2_000, set(), []
+        count, shapes, mismatches, uneven = 2_000, set(), [], 0
         for case, lot, p in _dinkelbach_cases(count):
             shapes.add((p.m, getattr(p, "t", None)))
             got = utilitarian_distortion(lot, p)
-            want = reference_utilitarian_dinkelbach(lot, p)
-            if not (
-                got.value == want.value
-                and got.arg_optimum == want.arg_optimum
-                and got.witness.util.tobytes() == want.witness.util.tobytes()
+            steps: list[int] = []
+            for name, want in (
+                ("per-candidate", reference_utilitarian_per_candidate(lot, p, steps)),
+                ("per-agent", reference_utilitarian_dinkelbach(lot, p)),
             ):
-                mismatches.append((case, p.n, p.m, got.value, want.value))
+                if not (
+                    got.value == want.value
+                    and got.arg_optimum == want.arg_optimum
+                    and got.witness.util.tobytes() == want.witness.util.tobytes()
+                ):
+                    mismatches.append((name, case, p.n, p.m, got.value, want.value))
+            # Candidates that finish after different numbers of steps leave
+            # the lockstep's live set in different rounds.
+            uneven += len(set(steps)) > 1
         assert mismatches == []
+        assert uneven > 0
         # Full ballots and every t < m at every m in 2..10.
         assert shapes == {
             (m, t) for m in range(2, 11) for t in [None, *range(1, m)]
         }
         acceptance_notes.append(
-            f"utilitarian Dinkelbach step vs per-agent loop: {count} cases, "
-            f"{len(mismatches)} mismatches (value, arg_optimum and witness bytes)"
+            f"utilitarian lockstep Dinkelbach vs per-candidate and per-agent loops: "
+            f"{count} cases, {len(mismatches)} mismatches (value, arg_optimum and "
+            f"witness bytes); {uneven} cases with candidates finishing in different rounds"
         )
 
 
