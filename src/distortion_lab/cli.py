@@ -18,11 +18,13 @@ rankings and needs no parameter.
 
 stdout carries only each command's primary output; diagnostics go to
 stderr. Exit codes: 0 success, 2 unknown rule (or an argparse usage
-error), 3 invalid instance or config, 4 bad parameters (undeclared,
-missing or out of range, or a rule/ballot-kind mismatch), 5 brute-force
-disagreement, 6 budget exceeded, 7 solver or certificate failure (an
-``lp.SolverError`` or ``oracles.CertificateError``: a fault in the
-library, reported on one stderr line). The enumeration budget caps the
+error), 3 an instance, config or output file that cannot be read, parsed
+or written, 4 bad parameters (undeclared, missing or out of range, or a
+rule/ballot-kind mismatch), 5 brute-force disagreement, 6 budget
+exceeded, 7 solver or certificate failure (an ``lp.SolverError`` or
+``oracles.CertificateError``: a fault in the library, reported on one
+stderr line). Library errors reach ``main``, which turns each into its
+exit code and one stderr line. The enumeration budget caps the
 brute-force twin (``oracle --check-bruteforce``) and exhaustive
 ``reproduce`` tables; top-t oracles solve one exact prefix program and
 need none. The environment variable ``DISTORTION_LAB_BUDGET`` overrides
@@ -37,6 +39,7 @@ import concurrent.futures
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -115,7 +118,7 @@ RULES: dict[str, RuleEntry] = {
     "ppv": RuleEntry(
         lambda epsilon: lambda p: rules.pruned_plurality_veto(p, epsilon),
         FULL,
-        {"epsilon": (1.0, _number("epsilon > 0", lambda e: e > 0))},
+        {"epsilon": (1.0, _number("finite epsilon > 0", lambda e: 0 < e < math.inf))},
     ),
     "random_dictatorship": RuleEntry(lambda: rules.random_dictatorship, FULL | TOPT, {}),
     "harmonic": RuleEntry(lambda: rules.harmonic_rule, FULL, {}),
@@ -171,13 +174,6 @@ def make_rule(rule_id, params: dict) -> tuple[oracles.Rule, frozenset[str]]:
     return entry.factory(**values), kinds
 
 
-def _load_instance(path) -> Profile | TopTProfile:
-    try:
-        return instances.load_instance(path)
-    except InstanceFormatError as exc:
-        raise CliError(EXIT_BAD_INSTANCE, str(exc))
-
-
 def _apply_rule(args, p: Profile | TopTProfile) -> Lottery:
     """The lottery of ``--rule`` and its parameter flags on ``p``."""
     params = {
@@ -221,20 +217,17 @@ def _budget(args) -> int:
 
 
 def cmd_run(args) -> int:
-    lot = _apply_rule(args, _load_instance(args.instance))
+    lot = _apply_rule(args, instances.load_instance(args.instance))
     print(json.dumps({"prob": lot.prob.tolist()}))
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    p = _load_instance(args.instance)
+    p = instances.load_instance(args.instance)
     if (args.lottery is None) == (args.rule is None):
         raise CliError(EXIT_BAD_PARAMS, "provide exactly one of --lottery or --rule")
     if args.lottery is not None:
-        try:
-            lot = instances.load_lottery(args.lottery)
-        except InstanceFormatError as exc:
-            raise CliError(EXIT_BAD_INSTANCE, str(exc))
+        lot = instances.load_lottery(args.lottery)
         if lot.m != p.m:
             raise CliError(
                 EXIT_BAD_INSTANCE,
@@ -254,10 +247,7 @@ def cmd_oracle(args) -> int:
         budget = _budget(args)
     report = oracles._oracle(args.world)(lot, p)
     if args.check_bruteforce:
-        try:
-            twin = oracles.utilitarian_distortion_bruteforce(lot, p, budget=budget)
-        except BudgetExceededError as exc:
-            raise CliError(EXIT_BUDGET, str(exc))
+        twin = oracles.utilitarian_distortion_bruteforce(lot, p, budget=budget)
         agree = (
             report.value.is_unbounded == twin.value.is_unbounded
             and (
@@ -416,6 +406,8 @@ def cmd_reproduce(args) -> int:
     wanted = reproducible
     if args.rules:
         wanted = tuple(x.strip() for x in args.rules.split(",") if x.strip())
+        if not wanted:
+            raise CliError(EXIT_BAD_PARAMS, f"--rules names no rule, got {args.rules!r}")
         for rid in wanted:
             if rid not in reproducible:
                 raise CliError(
@@ -623,7 +615,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"distortion-lab: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except InstanceFormatError as exc:
+    except (InstanceFormatError, OSError) as exc:
         print(f"distortion-lab: {exc}", file=sys.stderr)
         return EXIT_BAD_INSTANCE
     except (SolverError, CertificateError) as exc:

@@ -187,10 +187,11 @@ def thm53_instance(
     places the first candidate group at 0, its cohort at 1 and everything
     else at 2, so distances take only the values 0, 1 and 2.
     """
-    if t < 1 or m % (3 * t) != 0:
+    if t < 1 or m < 1 or m % (3 * t) != 0:
         raise ValueError(f"need m divisible by 3t, got m={m}, t={t}")
-    if not d_m > 1.0:
-        raise ValueError(f"need d_m > 1, got {d_m}")
+    # d_m*m^1.5 must be finite too, or the cohort size below would be 0 for every n.
+    if not (d_m > 1.0 and math.isfinite(d_m * m * math.sqrt(m))):
+        raise ValueError(f"need a finite d_m > 1, got {d_m}")
     scale = t * math.sqrt(t) / (d_m * m * math.sqrt(m))
     g_real = n * scale
     g = round(g_real)

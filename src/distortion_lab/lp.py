@@ -129,12 +129,6 @@ class LPOutcome:
     basis: tuple[int, ...] | None = field(default=None, repr=False)
 
 
-def _dump_tableau(dump: IO[str], label: str, tab: np.ndarray, basis: list[int]):
-    dump.write(f"--- {label} (basis {basis}) ---\n")
-    dump.write(np.array2string(tab, precision=6, suppress_small=True))
-    dump.write("\n")
-
-
 def _pivot(tab: np.ndarray, row: int, col: int):
     tab[row] /= tab[row, col]
     factors = tab[:, col].copy()
@@ -150,12 +144,12 @@ def _run_phase(
     n_allowed: int,
     max_pivots: int,
     dump: IO[str] | None,
-) -> tuple[str, int | None]:
+) -> str:
     """Pivot the bottom row to optimality or detect an unbounded column.
 
-    Returns (OPTIMAL, None) or (UNBOUNDED, entering_column). The bottom row
-    holds reduced costs for a maximization; one of the first ``n_allowed``
-    columns may enter while its reduced cost is below -PIVOT_TOL.
+    Returns OPTIMAL or UNBOUNDED. The bottom row holds reduced costs for a
+    maximization; one of the first ``n_allowed`` columns may enter while its
+    reduced cost is below -PIVOT_TOL.
     """
     n_rows = tab.shape[0] - 1
     # Views stay current: pivots update tab in place.
@@ -165,7 +159,7 @@ def _run_phase(
         eligible = reduced < -PIVOT_TOL
         col = int(eligible.argmax())  # Bland: lowest eligible index
         if not eligible[col]:
-            return OPTIMAL, None
+            return OPTIMAL
         # The ratio test runs on Python floats: on the small tableaux that
         # dominate, per-call numpy overhead costs more than the arithmetic.
         ratios = [
@@ -174,7 +168,7 @@ def _run_phase(
             if a > PIVOT_TOL
         ]
         if not ratios:
-            return UNBOUNDED, col
+            return UNBOUNDED
         best = min(ratios)[0]
         cut = best + 1e-9 * (1.0 + abs(best))
         ties = [i for q, i in ratios if q <= cut]
@@ -204,8 +198,8 @@ def solve(
 
     Args:
         lp: the program to solve.
-        dump: optional text stream receiving tableau snapshots and the pivot
-            log, for debugging.
+        dump: optional text stream receiving the pivot log: one ``pivot:``
+            line per pivot, with a ``--- phase 2 start`` line before phase 2.
         start: optional optimal outcome of a program that differs from
             ``lp`` only in the last ``lhs`` column, with only ``<=`` and
             ``>=`` rows and a zero lower bound on the last variable; the
@@ -294,10 +288,7 @@ def solve(
         tab[-1, :art_start] = -0.0
         tab[-1, art_start:-1] = 1.0
         tab[-1] = np.subtract.reduce(tab[[n_rows] + art_rows], axis=0)
-        if dump is not None:
-            _dump_tableau(dump, "phase 1 start", tab, basis)
-        status, _ = _run_phase(tab, basis, n_cols, max_pivots, dump)
-        if status != OPTIMAL:
+        if _run_phase(tab, basis, n_cols, max_pivots, dump) != OPTIMAL:
             raise SolverError("phase 1 is bounded by construction")
         if tab[-1, -1] < -FEAS_TOL:
             return LPOutcome(status=INFEASIBLE)
@@ -328,12 +319,8 @@ def solve(
         if j < n and costs[j] != 0.0:
             tab[-1] += costs[j] * tab[i]
     if dump is not None:
-        _dump_tableau(dump, "phase 2 start", tab, basis)
-    status, entering = _run_phase(tab, basis, art_start, max_pivots, dump)
-
-    if status == UNBOUNDED:
-        if dump is not None:
-            dump.write(f"unbounded along column {entering}\n")
+        dump.write("--- phase 2 start\n")
+    if _run_phase(tab, basis, art_start, max_pivots, dump) == UNBOUNDED:
         return LPOutcome(status=UNBOUNDED)
 
     values = tab[:n_rows, -1]
@@ -344,9 +331,6 @@ def solve(
     x = y[:n] + lb
     value = float(lp.objective @ x)
     _check_feasible(lp, x)
-    if dump is not None:
-        _dump_tableau(dump, "phase 2 end", tab, basis)
-        dump.write(f"optimal value {value}\n")
     duals = np.array(dual_sign) * tab[-1, dual_col]
     return LPOutcome(
         status=OPTIMAL,

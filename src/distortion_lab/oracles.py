@@ -165,6 +165,11 @@ def _first_max(candidates: Iterable[tuple[float, T]]) -> tuple[float, T]:
     return best
 
 
+def _check_dims(lot: Lottery, p: Profile | TopTProfile):
+    if lot.m != p.m:
+        raise ValueError(f"lottery over {lot.m} alternatives, profile has {p.m}")
+
+
 @dataclass(frozen=True, eq=False)
 class DistortionReport:
     """Worst-case value with a machine-checkable certificate.
@@ -221,7 +226,7 @@ def _metric_rows(p: Profile | TopTProfile, agents: Collection[int]) -> np.ndarra
     read from ``p.positions``, where an unranked alternative has rank m so
     that two unranked ones keep both directions (a skipped row follows from
     the chain and e >= 0); then e(X,Y) - d(b,X) - d(b,Y) for every block
-    and unordered pair. ``_metric_report`` lists each distinct ballot's
+    and unordered pair. ``metric_distortion`` lists each distinct ballot's
     first agent; listing every agent gives the per-agent program.
     """
     n, m = len(agents), p.m
@@ -301,8 +306,9 @@ def _metric_unbounded(lot: Lottery, p: Profile | TopTProfile) -> DistortionRepor
     return None
 
 
-def _metric_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
-    """Worst case over pseudometrics consistent with the given ballots.
+def metric_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
+    """Worst-case metric distortion of ``lot`` on profile ``p``: the worst
+    case over pseudometrics consistent with the given ballots.
 
     Per candidate X* it solves the dual of max c.y s.t. A y <= 0,
     a_X*.y = 1, y >= 0 (module docstring) over one block per distinct
@@ -325,6 +331,7 @@ def _metric_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
     reported maximum. Only then is y expanded, every agent taking its
     ballot's row, and closed into the witness.
     """
+    _check_dims(lot, p)
     unbounded = _metric_unbounded(lot, p)
     if unbounded is not None:
         return unbounded
@@ -427,8 +434,9 @@ def _utilitarian_unbounded(
     )
 
 
-def _utilitarian_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
-    """Worst case over unit-sum utility profiles consistent with the ballots.
+def utilitarian_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
+    """Worst-case utilitarian distortion of ``lot`` on profile ``p``: the
+    worst case over unit-sum utility profiles consistent with the ballots.
 
     Dinkelbach's iteration (module docstring) for every x* at once, from
     lambda = 0, until lambda rises by at most a relative 1e-12. ``lam``
@@ -452,6 +460,7 @@ def _utilitarian_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionRep
     the expected welfare is positive; at lambda = 0 every best vertex holds
     x*, so every first ratio is positive and every x* keeps a combination.
     """
+    _check_dims(lot, p)
     unbounded = _utilitarian_unbounded(lot, p)
     if unbounded is not None:
         return unbounded
@@ -504,23 +513,6 @@ def _utilitarian_report(lot: Lottery, p: Profile | TopTProfile) -> DistortionRep
 # ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
-
-
-def _check_dims(lot: Lottery, p: Profile | TopTProfile):
-    if lot.m != p.m:
-        raise ValueError(f"lottery over {lot.m} alternatives, profile has {p.m}")
-
-
-def metric_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
-    """Worst-case metric distortion of ``lot`` on profile ``p``."""
-    _check_dims(lot, p)
-    return _metric_report(lot, p)
-
-
-def utilitarian_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
-    """Worst-case utilitarian distortion of ``lot`` on profile ``p``."""
-    _check_dims(lot, p)
-    return _utilitarian_report(lot, p)
 
 
 def utilitarian_distortion_bruteforce(

@@ -143,13 +143,14 @@ def plurality_veto(p: Profile) -> tuple[Lottery, VetoTrace]:
 def pruned_plurality_veto(p: Profile, eps: float = 1.0) -> Lottery:
     """Drop rarely-top alternatives, then run the veto phase on the rest.
 
-    Keeps alternatives whose plurality score is at least eps*n/((6+eps)*m);
-    the plurality winner always clears that bar, so the restriction is never
-    empty. The veto winner is mapped back to original indices.
+    Keeps alternatives whose plurality score is at least eps*n/((6+eps)*m)
+    for a finite eps > 0; the plurality winner always clears that bar, so
+    the restriction is never empty. The veto winner is mapped back to
+    original indices.
     """
     p = _require_full(p, "pruned_plurality_veto")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     scores = plurality_scores(p)
     threshold = eps * p.n / ((6.0 + eps) * p.m)
     keep = [x for x in range(p.m) if scores[x] >= threshold - 1e-9]
@@ -244,10 +245,6 @@ def top_t_det_rule(p: TopTProfile, base_rule: BaseTopKRule | None = None) -> Lot
 AnchorRule = Callable[[TopTProfile], int]
 
 
-def _default_anchor(p: TopTProfile) -> int:
-    return int(np.argmax(top_t_det_rule(p).prob))
-
-
 def top_t_truncated_harmonic(
     p: TopTProfile, anchor_rule: AnchorRule | None = None
 ) -> Lottery:
@@ -261,7 +258,7 @@ def top_t_truncated_harmonic(
     """
     if not isinstance(p, TopTProfile):
         raise ValueError("top_t_truncated_harmonic expects a top-t profile")
-    anchor = _default_anchor(p) if anchor_rule is None else int(anchor_rule(p))
+    anchor = int(np.argmax(top_t_det_rule(p).prob) if anchor_rule is None else anchor_rule(p))
     if not (0 <= anchor < p.m):
         raise ValueError(f"anchor {anchor} out of range for m={p.m}")
     return Lottery(_anchored_rows(p, anchor, 2.0 * harmonic_number(p.t)).mean(axis=0))

@@ -106,6 +106,14 @@ class TestRun:
         )
         assert code == 4 and out == ""
 
+    @pytest.mark.parametrize("eps", ["inf", "nan", "0", "-1"])
+    def test_ppv_needs_finite_positive_epsilon(self, inst, eps):
+        code, out, err = run_cli(
+            ["run", "--rule", "ppv", "--epsilon", eps, "--instance", str(inst)]
+        )
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and "finite epsilon > 0" in err
+
     def test_mix_rejects_mix_component(self, inst):
         code, _, _ = run_cli(
             ["run", "--rule", "mix", "--components", "plurality,mix",
@@ -647,6 +655,15 @@ class TestReproduce:
         assert "--seed" in err
         assert not out_csv.exists()
 
+    def test_rule_filter_naming_no_rule(self, tmp_path):
+        out_csv = tmp_path / "t.csv"
+        code, out, err = run_cli(
+            ["reproduce", "--n", "2", "--m", "2", "--output", str(out_csv), "--rules", ","]
+        )
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and "--rules" in err
+        assert not out_csv.exists()
+
     def test_unknown_rule_filter(self, tmp_path):
         code, _, _ = run_cli(
             ["reproduce", "--n", "2", "--m", "2", "--output", str(tmp_path / "t.csv"),
@@ -714,6 +731,17 @@ class TestGenerate:
         assert flag in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dm", ["inf", "nan"])
+    def test_nonfinite_ratio(self, tmp_path, dm):
+        out = tmp_path / "i.json"
+        code, stdout, err = run_cli(
+            ["generate", "--kind", "thm53", "--n", "108", "--m", "9", "--t", "1",
+             "--dm", dm, "--out", str(out)]
+        )
+        assert code == 4 and stdout == ""
+        assert err.count("\n") == 1 and "d_m" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("dm", [None, "4"])
     def test_kind_specific_flags_reach_their_readers(self, tmp_path, dm):
         # thm53 reads --t, --dm (default 2.0) and --metric-out.
@@ -727,6 +755,53 @@ class TestGenerate:
         want = dl.thm53_instance(108, 9, 1, 2.0 if dm is None else float(dm))[0]
         assert dl.load_instance(out) == want
         assert met_out.exists()
+
+
+class TestUnwritableOutput:
+    """An output path in a missing directory exits 3 with one error line
+    that names the path, and no traceback."""
+
+    @pytest.fixture
+    def missing(self, tmp_path):
+        return tmp_path / "missing" / "out.json"
+
+    def _assert_refused(self, code, err, path):
+        assert code == cli.EXIT_BAD_INSTANCE == 3
+        errors = [line for line in err.splitlines() if line.startswith("distortion-lab:")]
+        assert len(errors) == 1 and str(path) in errors[0]
+        assert "Traceback" not in err
+
+    def test_reproduce_output(self, missing):
+        code, _, err = run_cli(
+            ["reproduce", "--n", "2", "--m", "2", "--rules", "plurality",
+             "--output", str(missing)]
+        )
+        self._assert_refused(code, err, missing)
+
+    def test_sweep_output(self, tmp_path, missing):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(TestSweep.CONFIG, rules=["plurality"])))
+        code, out, err = run_cli(["sweep", "--config", str(cfg), "--output", str(missing)])
+        assert out == ""
+        self._assert_refused(code, err, missing)
+
+    def test_generate_out(self, missing):
+        code, out, err = run_cli(
+            ["generate", "--kind", "random", "--n", "2", "--m", "3", "--out", str(missing)]
+        )
+        assert out == ""
+        self._assert_refused(code, err, missing)
+
+    def test_generate_metric_out(self, tmp_path, missing):
+        out = tmp_path / "i.json"
+        code, stdout, err = run_cli(
+            ["generate", "--kind", "thm36", "--n", "4", "--m", "4",
+             "--out", str(out), "--metric-out", str(missing)]
+        )
+        assert stdout == ""
+        self._assert_refused(code, err, missing)
+        # The instance is written before the metric is tried.
+        assert out.exists()
 
 
 class TestRuleTable:

@@ -120,6 +120,16 @@ class TestThm53Instance:
         with pytest.raises(ValueError):
             dl.thm53_instance(12, 6, 2, 1.0)
 
+    @pytest.mark.parametrize("dm", [float("inf"), float("nan"), 1e308])
+    def test_ratio_must_be_finite(self, dm):
+        # inf, or a d_m whose d_m*m^1.5 overflows, makes every cohort size 0.
+        with pytest.raises(ValueError, match="finite d_m"):
+            dl.thm53_instance(108, 9, 1, dm)
+
+    def test_m_must_be_positive(self):
+        with pytest.raises(ValueError, match="divisible"):
+            dl.thm53_instance(1, 0, 1, 2.0)
+
     def test_nearest_n_hint(self):
         with pytest.raises(ValueError, match="nearest"):
             dl.thm53_instance(13, 6, 2, self.DM)

@@ -1,8 +1,10 @@
 """Unit tests for the worst-case distortion oracles."""
 
 import dataclasses
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -411,6 +413,25 @@ def _warm_chain_cases():
 class TestWarmChainCrossCheck:
     """Each candidate's dual program started from the previous candidate's
     optimal basis, against every candidate solved cold."""
+
+    def test_chain_outcomes_are_freed(self, monkeypatch):
+        # Each outcome in the chain holds its program and whole tableau; none
+        # may outlive the call that made it.
+        solve, made = lp_mod.solve, []
+
+        def recording(program, **kwargs):
+            out = solve(program, **kwargs)
+            made.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(oracles_mod.lp, "solve", recording)
+        profiles = [dl.random_profile(8, 4, seed) for seed in range(8)]
+        for _ in range(3):
+            for p in profiles:
+                metric_distortion(dl.truncated_harmonic(p, 1.0), p)
+        gc.collect()
+        assert len(made) >= 3 * len(profiles)
+        assert [ref for ref in made if ref() is not None] == []
 
     def test_matches_cold_reference(self, monkeypatch, acceptance_notes):
         solve, log = lp_mod.solve, []

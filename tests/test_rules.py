@@ -125,6 +125,12 @@ class TestPrunedPluralityVeto:
         with pytest.raises(ValueError):
             pruned_plurality_veto(P1, 0.0)
 
+    @pytest.mark.parametrize("eps", [float("inf"), float("nan")])
+    def test_rejects_nonfinite_eps(self, eps):
+        # eps*n/((6+eps)*m) is NaN here, which would keep no alternative.
+        with pytest.raises(ValueError, match="finite"):
+            pruned_plurality_veto(P1, eps)
+
 
 class TestRandomDictatorship:
     def test_p1(self):
