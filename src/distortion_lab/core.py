@@ -5,8 +5,10 @@ strict rankings or ordered top-t prefixes; both kinds store each ballot once,
 as a plain tuple of ints, best first (``Profile.rankings``,
 ``TopTProfile.prefixes``), and are read through one view: ``p.ballots[i]``,
 ``p.unranked(i)`` and the (n, m) array ``p.positions`` of each
-alternative's place on each ballot (m if unranked); a full ranking is a
-prefix with nothing unranked.
+alternative's place on each ballot (m if unranked). Each kind gives only
+its fields and ``ballots``; ``n``, ``unranked`` and ``positions`` come from
+one body that both share, since a full ranking is a prefix with nothing
+unranked.
 A cardinal instance is one of:
 
 * a :class:`MetricSpace`, a pseudometric over the n agents followed by the
@@ -64,18 +66,38 @@ def _int_ballots(ballots) -> tuple[tuple[int, ...], ...]:
     return coerced
 
 
-def _positions(ballots: tuple[tuple[int, ...], ...], m: int) -> np.ndarray:
-    # Filled as Python lists and converted once: a numpy assignment per
-    # ballot costs more than the whole fill at these sizes.
-    rows = [[m] * m for _ in ballots]
-    for row, ballot in zip(rows, ballots):
-        for k, x in enumerate(ballot):
-            row[x] = k
-    return np.array(rows, dtype=np.int64)
+class _BallotView:
+    """The ballot view both profile kinds share, read from ``ballots``."""
+
+    @property
+    def n(self) -> int:
+        return len(self.ballots)
+
+    def unranked(self, i: int) -> tuple[int, ...]:
+        """The alternatives agent i leaves off their ballot, ascending; a
+        full ranking leaves none."""
+        ballot = self.ballots[i]
+        if len(ballot) == self.m:
+            return ()
+        ranked = set(ballot)
+        return tuple(x for x in range(self.m) if x not in ranked)
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """(n, m) array: positions[i, x] is agent i's 0-based position of x,
+        m if x is unranked."""
+        m = self.m
+        # Filled as Python lists and converted once: a numpy assignment per
+        # ballot costs more than the whole fill at these sizes.
+        rows = [[m] * m for _ in self.ballots]
+        for row, ballot in zip(rows, self.ballots):
+            for k, x in enumerate(ballot):
+                row[x] = k
+        return np.array(rows, dtype=np.int64)
 
 
 @dataclass(frozen=True)
-class Profile:
+class Profile(_BallotView):
     """n full rankings over m alternatives."""
 
     m: int
@@ -86,25 +108,12 @@ class Profile:
         object.__setattr__(self, "rankings", _int_ballots(self.rankings))
 
     @property
-    def n(self) -> int:
-        return len(self.rankings)
-
-    @property
     def ballots(self) -> tuple[tuple[int, ...], ...]:
         return self.rankings
 
-    def unranked(self, i: int) -> tuple[int, ...]:
-        """A full ranking leaves no alternative unranked."""
-        return ()
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        """(n, m) array: positions[i, x] is agent i's 0-based position of x."""
-        return _positions(self.rankings, self.m)
-
 
 @dataclass(frozen=True)
-class TopTProfile:
+class TopTProfile(_BallotView):
     """n ordered top-t prefixes over m alternatives.
 
     Alternatives absent from a prefix are unranked: the agent weakly prefers
@@ -122,22 +131,8 @@ class TopTProfile:
         object.__setattr__(self, "prefixes", _int_ballots(self.prefixes))
 
     @property
-    def n(self) -> int:
-        return len(self.prefixes)
-
-    @property
     def ballots(self) -> tuple[tuple[int, ...], ...]:
         return self.prefixes
-
-    def unranked(self, i: int) -> tuple[int, ...]:
-        ranked = set(self.prefixes[i])
-        return tuple(x for x in range(self.m) if x not in ranked)
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        """(n, m) array: positions[i, x] is agent i's 0-based position of x,
-        m if x is unranked."""
-        return _positions(self.prefixes, self.m)
 
 
 def validate_profile(p: Profile | TopTProfile) -> list[str]:
@@ -380,18 +375,23 @@ def _consistency_chain(p: Profile | TopTProfile, i: int) -> list[tuple[int, int]
     return pairs
 
 
+def _chain_consistent(grid: np.ndarray, p: Profile | TopTProfile) -> bool:
+    """Whether each agent's row of ``grid`` weakly rises (within 1e-9) along
+    their consistency chain, from better to worse."""
+    for i in range(p.n):
+        for better, worse in _consistency_chain(p, i):
+            if grid[i, better] > grid[i, worse] + STRUCT_TOL:
+                return False
+    return True
+
+
 def is_metric_consistent(d: MetricSpace, p: Profile | TopTProfile) -> bool:
     """Whether each agent weakly prefers closer alternatives under ``d``."""
     if d.n != p.n or d.m != p.m:
         raise ValueError(
             f"dimension mismatch: metric is ({d.n}, {d.m}), profile is ({p.n}, {p.m})"
         )
-    g = d.agent_alt
-    for i in range(p.n):
-        for better, worse in _consistency_chain(p, i):
-            if g[i, better] > g[i, worse] + STRUCT_TOL:
-                return False
-    return True
+    return _chain_consistent(d.agent_alt, p)
 
 
 def is_utility_consistent(u: UtilityProfile, p: Profile | TopTProfile) -> bool:
@@ -404,11 +404,8 @@ def is_utility_consistent(u: UtilityProfile, p: Profile | TopTProfile) -> bool:
         raise ValueError(
             f"dimension mismatch: utilities are ({u.n}, {u.m}), profile is ({p.n}, {p.m})"
         )
-    for i in range(p.n):
-        for better, worse in _consistency_chain(p, i):
-            if u.util[i, better] < u.util[i, worse] - STRUCT_TOL:
-                return False
-    return True
+    # Negation is exact, so -u rises within 1e-9 exactly where u falls within it.
+    return _chain_consistent(-u.util, p)
 
 
 def social_cost(d: MetricSpace, x: int) -> float:

@@ -206,14 +206,6 @@ class DistortionReport:
 # ---------------------------------------------------------------------------
 
 
-def _first_agents(p: Profile | TopTProfile) -> dict[tuple[int, ...], int]:
-    """Each distinct ballot's first agent, in order of first occurrence."""
-    first: dict[tuple[int, ...], int] = {}
-    for i, ballot in enumerate(p.ballots):
-        first.setdefault(ballot, i)
-    return first
-
-
 def _metric_rows(p: Profile | TopTProfile, agents: Collection[int]) -> np.ndarray:
     """The rows A of the metric program, each <= 0 (module docstring), with
     one block for the ballot of each listed agent.
@@ -272,19 +264,22 @@ def _metric_closure(grid: np.ndarray, n: int, m: int) -> MetricSpace:
     return MetricSpace(n=n, m=m, dist=dist)
 
 
-def _metric_unbounded(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport | None:
+def _metric_unbounded(
+    lot: Lottery, p: Profile | TopTProfile, agents: Iterable[int]
+) -> DistortionReport | None:
     """The unbounded report with its witness, or None if the distortion is finite.
 
     If the cost of X* is zero, every agent sits at X*, so every alternative
     an agent ranks directly above a point they sit at is one they sit at
     too; Z(X*) is the closure of {X*} under that rule. Putting every agent
     at distance 0 from Z(X*) and 1 from the rest is consistent and leaves
-    the lottery paying n times its mass outside Z(X*).
+    the lottery paying n times its mass outside Z(X*). The chain depends
+    only on the ballot, so ``agents`` need list one agent per distinct
+    ballot, and may list more.
     """
     n, m = p.n, p.m
     above: list[set[int]] = [set() for _ in range(m)]
-    # The chain depends only on the ballot.
-    for i in _first_agents(p).values():
+    for i in agents:
         for better, worse in _consistency_chain(p, i):
             above[worse].add(better)
     for x_star in range(m):
@@ -332,18 +327,17 @@ def metric_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionRepor
     ballot's row, and closed into the witness.
     """
     _check_dims(lot, p)
-    unbounded = _metric_unbounded(lot, p)
+    # Each agent's block, numbered in order of first occurrence; then each
+    # block's first agent and its multiplicity.
+    block: dict[tuple[int, ...], int] = {}
+    blocks = [block.setdefault(b, len(block)) for b in p.ballots]
+    _, agents, w = np.unique(blocks, return_index=True, return_counts=True)
+    unbounded = _metric_unbounded(lot, p, agents)
     if unbounded is not None:
         return unbounded
     n, m = p.n, p.m
-    first = _first_agents(p)
-    block = {b: k for k, b in enumerate(first)}
-    blocks = [block[b] for b in p.ballots]  # each agent's block
-    w = np.zeros(len(first))  # multiplicities
-    for k in blocks:
-        w[k] += 1.0
-    km = len(first) * m
-    primal = _metric_rows(p, first.values())
+    km = len(block) * m
+    primal = _metric_rows(p, agents)
     nv = primal.shape[1]
     cost = np.zeros(nv)
     cost[:km] = (w[:, None] * lot.prob).ravel()  # expected social cost coefficients

@@ -267,7 +267,7 @@ def reference_metric_report(
 
 def reference_metric_primal(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
     """Worst case over consistent pseudometrics via the primal compact program."""
-    unbounded = _metric_unbounded(lot, p)
+    unbounded = _metric_unbounded(lot, p, range(p.n))
     if unbounded is not None:
         return unbounded
     n, m = p.n, p.m
@@ -303,7 +303,7 @@ def reference_metric_primal(lot: Lottery, p: Profile | TopTProfile) -> Distortio
 
 def reference_metric_dual_cold(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
     """Worst case via the library's dual program, every candidate solved cold."""
-    unbounded = _metric_unbounded(lot, p)
+    unbounded = _metric_unbounded(lot, p, range(p.n))
     if unbounded is not None:
         return unbounded
     n, m = p.n, p.m
@@ -339,7 +339,7 @@ def reference_metric_dual_cold(lot: Lottery, p: Profile | TopTProfile) -> Distor
 def reference_metric_per_agent(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
     """Worst case via one dual block per agent, the candidates chained
     through ``lp.solve``'s ``start`` as the library chains them."""
-    unbounded = _metric_unbounded(lot, p)
+    unbounded = _metric_unbounded(lot, p, range(p.n))
     if unbounded is not None:
         return unbounded
     n, m = p.n, p.m
