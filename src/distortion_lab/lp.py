@@ -18,7 +18,14 @@ outcome whose program differs from ``lp`` only in the last ``lhs`` column,
 both with only inequality rows. The slack block of the final tableau is
 B^-1 up to column signs, which gives the new column; the old one stays as
 the one artificial, which phase 1 drives to 0. The basic values are then
-refined once against ``lp``'s rows.
+refined once against ``lp``'s rows. A warm tableau carries the rounding of
+every pivot since its chain's cold solve, so a caller that solves many
+programs near one base starts each from the base's cold outcome, not from
+the previous warm one: the metric oracle starts every candidate from
+candidate 0's. The ratio test pivots only on an entry above
+``PIVOT_FLOOR`` (1e-8), a hundred times ``PIVOT_TOL``: on a warm tableau a
+pivot on rounding residue of about 1e-10 grows the entries to 1e18 and
+beyond, and the solve then stalls or finds phase 1 unbounded.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from typing import IO
 import numpy as np
 
 PIVOT_TOL = 1e-10
+PIVOT_FLOOR = 1e-8
 FEAS_TOL = 1e-7
 
 OPTIMAL = "optimal"
@@ -144,12 +152,16 @@ def _run_phase(
     n_allowed: int,
     max_pivots: int,
     dump: IO[str] | None,
+    first_out: int | None = None,
 ) -> str:
     """Pivot the bottom row to optimality or detect an unbounded column.
 
     Returns OPTIMAL or UNBOUNDED. The bottom row holds reduced costs for a
     maximization; one of the first ``n_allowed`` columns may enter while its
-    reduced cost is below -PIVOT_TOL.
+    reduced cost is below -PIVOT_TOL, and it may pivot on a row whose entry
+    is above PIVOT_FLOOR. Ties in the ratio test go to the lowest basic
+    index, except that the basic column ``first_out`` leaves whenever its
+    row ties.
     """
     n_rows = tab.shape[0] - 1
     # Views stay current: pivots update tab in place.
@@ -165,7 +177,7 @@ def _run_phase(
         ratios = [
             (r / a, i)
             for i, (a, r) in enumerate(zip(tab[:n_rows, col].tolist(), rhs.tolist()))
-            if a > PIVOT_TOL
+            if a > PIVOT_FLOOR
         ]
         if not ratios:
             return UNBOUNDED
@@ -175,7 +187,8 @@ def _run_phase(
         if len(ties) == 1:
             row = ties[0]
         else:
-            row = min(ties, key=basis.__getitem__)  # Bland: lowest basic index
+            # Bland: lowest basic index, after first_out.
+            row = min(ties, key=lambda i: (basis[i] != first_out, basis[i]))
         if dump is not None:
             dump.write(f"pivot: col {col} enters, row {row} (basic {basis[row]}) leaves\n")
         _pivot(tab, row, col)
@@ -191,8 +204,9 @@ def solve(
 ) -> LPOutcome:
     """Solve an LP with the two-phase tableau simplex method.
 
-    Entries with magnitude at most ``PIVOT_TOL`` count as zero for pivoting
-    decisions. Each phase is capped at 10_000 + 100 * (rows + columns)
+    Reduced costs and entries with magnitude at most ``PIVOT_TOL`` count as
+    zero for pivoting decisions, and the ratio test also skips entries at
+    most ``PIVOT_FLOOR``. Each phase is capped at 10_000 + 100 * (rows + columns)
     pivots; Bland's rule guarantees finite termination, so hitting the cap
     raises :class:`SolverError`, as does a failed post-check.
 
@@ -288,7 +302,11 @@ def solve(
         tab[-1, :art_start] = -0.0
         tab[-1, art_start:-1] = 1.0
         tab[-1] = np.subtract.reduce(tab[[n_rows] + art_rows], axis=0)
-        if _run_phase(tab, basis, n_cols, max_pivots, dump) != OPTIMAL:
+        # A warm start's one artificial leaves as soon as it ties: that ends
+        # phase 1, where Bland's rule would keep pivoting on rows whose
+        # values are rounding residue while it stays basic near 0.
+        first_out = None if start is None else art_start
+        if _run_phase(tab, basis, n_cols, max_pivots, dump, first_out) != OPTIMAL:
             raise SolverError("phase 1 is bounded by construction")
         if tab[-1, -1] < -FEAS_TOL:
             return LPOutcome(status=INFEASIBLE)

@@ -43,9 +43,8 @@ or unbounded, comes with a concrete witness instance.
   one row per variable y (km + m(m-1)/2) instead of one per row of A;
   bounding lambda by 0 loses nothing because the primal value is
   positive. The m dual programs differ only in lambda's column a_X*, so
-  they are solved as a chain: X* = 0 from the all-artificial basis, each
-  later X* from the previous one's optimal basis (``lp.solve``'s
-  ``start``). The row duals of the winning dual are an optimal y. They
+  they are warm-started: X* = 0 from the all-artificial basis, each later
+  X* from X* = 0's optimal basis (``lp.solve``'s ``start``). The row duals of the winning dual are an optimal y. They
   are checked against the primal (y >= 0, A y <= 0, a_X*.y = 1, c.y equal
   to the dual value), expanded to the n x m grid in which every agent
   takes its ballot's row, and then closed into the witness. The answer is
@@ -314,12 +313,11 @@ def metric_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionRepor
     column holds w_b at row b*m + X*. The dual block A^T | a_X* is
     km + m(m-1)/2 rows by R + 1 columns,
     R = k(m-1) + k*m(m-1) + k(m-t)(m-t-1)/2: 38 x 121 at k=8, m=4 with full
-    ballots, and a mean of 34.1 x 106.5 on metric-full's random (8, 4)
-    profiles, which have 7.0 distinct ballots on average. Candidate 0 is
-    solved cold; every later candidate passes the previous candidate's
-    outcome as ``start``, since only lambda's column changes. Together the
-    blocks and the chain take metric-full from 222.3 to 126.5 pivots per
-    call (145.6 with the chain alone). Each solve's (mu, lambda) passes
+    ballots. Candidate 0 is solved cold; every later candidate passes
+    candidate 0's outcome as ``start``, since only lambda's column changes.
+    Starting from the previous candidate instead would carry the rounding
+    of every warm solve down the chain, which on ``thm53_instance`` grows
+    the tableau until the solve fails. Each solve's (mu, lambda) passes
     the solver's feasibility check, so lambda_X bounds the primal value
     V_X from above; the winning y is checked against the primal, so
     c.y = lambda_win bounds V_win from below; together they certify the
@@ -350,15 +348,18 @@ def metric_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionRepor
     rel = (">=",) * nv
 
     def candidates() -> Iterator[tuple[float, tuple[int, lp.LPOutcome]]]:
-        dual = None
+        first = None
         for x_star in range(m):
             a = lhs.copy()
             a[x_star:km:m, -1] = w
             program = lp.LinearProgram(
                 objective=objective, lhs=a, relations=rel, rhs=cost, maximize=False
             )
-            # Candidate 0 starts cold; each later one from the previous basis.
-            dual = lp.solve(program) if dual is None else lp.solve(program, start=dual)
+            # Candidate 0 starts cold; each later one from candidate 0's basis.
+            if first is None:
+                dual = first = lp.solve(program)
+            else:
+                dual = lp.solve(program, start=first)
             if dual.status != lp.OPTIMAL:
                 raise lp.SolverError(
                     f"dual metric program for x*={x_star} returned {dual.status}, so the "

@@ -35,9 +35,9 @@ small shapes; they run on the direct ballot constraints.
 ``reference_metric_dual_cold`` is the dual route as the library ran it
 before the candidates were chained: every candidate's dual program solved
 from the all-artificial basis, where the library starts each candidate
-after the first from the previous one's optimal basis.
+after the first from candidate 0's optimal basis.
 
-``reference_metric_per_agent`` is the chained dual route as the library ran
+``reference_metric_per_agent`` is the warm-started dual route as the library ran
 it before the program was collapsed to one block per distinct ballot: one
 block of m distances, chain rows and pair rows per agent, so agents who
 cast the same ballot get identical blocks. On profiles whose ballots are
@@ -337,8 +337,9 @@ def reference_metric_dual_cold(lot: Lottery, p: Profile | TopTProfile) -> Distor
 
 
 def reference_metric_per_agent(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
-    """Worst case via one dual block per agent, the candidates chained
-    through ``lp.solve``'s ``start`` as the library chains them."""
+    """Worst case via one dual block per agent, every candidate after the
+    first started from candidate 0's optimum through ``lp.solve``'s
+    ``start``, as the library starts them."""
     unbounded = _metric_unbounded(lot, p, range(p.n))
     if unbounded is not None:
         return unbounded
@@ -355,14 +356,17 @@ def reference_metric_per_agent(lot: Lottery, p: Profile | TopTProfile) -> Distor
     rel = (">=",) * nv
 
     def candidates() -> Iterator[tuple[float, tuple[int, np.ndarray]]]:
-        dual = None
+        first = None
         for x_star in range(m):
             a = lhs.copy()
             a[x_star:nm:m, -1] = 1.0
             program = lp.LinearProgram(
                 objective=objective, lhs=a, relations=rel, rhs=cost, maximize=False
             )
-            dual = lp.solve(program) if dual is None else lp.solve(program, start=dual)
+            if first is None:
+                dual = first = lp.solve(program)
+            else:
+                dual = lp.solve(program, start=first)
             if dual.status != lp.OPTIMAL:
                 raise RuntimeError(f"dual metric program for x*={x_star} returned {dual.status}")
             yield dual.value, (x_star, dual.duals)

@@ -410,9 +410,22 @@ def _warm_chain_cases():
         yield 300 + case, lot, p
 
 
+TOPT_RULES = ("plurality", "random_dictatorship", "top_t_det", "top_t_th")
+WARM_START_CASES = {
+    "thm53-108": (lambda: dl.thm53_instance(108, 9, 1, 2.0)[0], TOPT_RULES),
+    "thm53-216": (lambda: dl.thm53_instance(216, 9, 1, 2.0)[0], TOPT_RULES),
+    "random-49-5-t4": (
+        lambda: dl.truncate_profile(dl.random_profile(49, 5, 903), 4), ("plurality",)
+    ),
+    "random-57-6-t2": (
+        lambda: dl.truncate_profile(dl.random_profile(57, 6, 904), 2), ("plurality",)
+    ),
+}
+
+
 class TestWarmChainCrossCheck:
-    """Each candidate's dual program started from the previous candidate's
-    optimal basis, against every candidate solved cold."""
+    """Each candidate's dual program started from candidate 0's optimal
+    basis, against every candidate solved cold."""
 
     def test_chain_outcomes_are_freed(self, monkeypatch):
         # Each outcome in the chain holds its program and whole tableau; none
@@ -495,6 +508,24 @@ class TestWarmChainCrossCheck:
         # refinement of the warm basic values they read 4.999999999999995
         # and 2.999999999999999.
         assert exhaustive_worst_case(rule, 3, 3, "metric")[0].value == value
+
+    @pytest.mark.parametrize("case", list(WARM_START_CASES))
+    def test_warm_starts_stay_bounded(self, monkeypatch, case):
+        # Chained from the previous candidate with pivots down to PIVOT_TOL,
+        # the warm tableau grew past 1e18 on each of these and the solve
+        # failed; every cold solve succeeds.
+        make, rules = WARM_START_CASES[case]
+        p = make()
+        warm = {rid: metric_distortion(make_rule(rid, {})[0](p), p) for rid in rules}
+        solve = lp_mod.solve
+        monkeypatch.setattr(oracles_mod.lp, "solve", lambda program, start=None: solve(program))
+        for rid, got in warm.items():
+            lot = make_rule(rid, {})[0](p)
+            want = metric_distortion(lot, p)
+            assert abs(got.value.value - want.value.value) <= dl.RATIO_TOL, rid
+            assert got.arg_optimum == want.arg_optimum, rid
+            assert dl.is_metric_consistent(got.witness, p), rid
+            assert abs(dl.eval_distortion(lot, got.witness).value - got.value.value) <= 1e-5, rid
 
 
 def _sampled_ballots(rng: np.random.Generator, m: int, t: int, count: int) -> list:
