@@ -14,6 +14,13 @@ few (2(m-1) and 3), so n = 200 costs about what n = 16 does. The oracle is a
 supremum over consistent metrics, so on each Theorem 3.6 instance it is
 also checked to be at least the lottery's distortion on the instance's own
 metric.
+
+The top-t families: on the Theorem 5.3 instances at m = 9, t = 1 and
+n = 108 and 216, the metric oracle is checked against each top-t rule's
+distortion on the instance's own metric, as above. On the Theorem 5.1
+profiles at (n, m, t) = (200, 5, 2) and (300, 7, 3), the top-t rules'
+worst cases in both worlds are only reported: no bound is asserted there,
+and each report is checked against its own witness.
 """
 
 from __future__ import annotations
@@ -92,3 +99,43 @@ def test_metric_bounds_at_large_n(acceptance_notes):
         f"metric guarantees at n >> m ({len(instances)} profiles), worst value/bound: "
         + ", ".join(f"{rule} {ratio:.3f}" for rule, ratio in worst.items())
     )
+
+
+TOPT_RULES = {
+    "plurality": dl.plurality,
+    "random_dictatorship": dl.random_dictatorship,
+    "top_t_det": dl.top_t_det_rule,
+    "top_t_th": dl.top_t_truncated_harmonic,
+}
+
+
+def test_thm53_metric_lower_bounds_at_large_n(acceptance_notes):
+    notes = []
+    for n in (108, 216):
+        p, metric = dl.thm53_instance(n, 9, 1, 2.0)
+        for rule, lottery in TOPT_RULES.items():
+            lot = lottery(p)
+            value = dl.metric_distortion(lot, p).value
+            own = dl.eval_distortion(lot, metric)
+            assert not value.is_unbounded and not own.is_unbounded, (n, rule)
+            assert value.value >= own.value - RATIO_TOL, (n, rule)
+            notes.append(f"{rule}@{n} {value.value:.4f} >= {own.value:.4f}")
+    acceptance_notes.append(
+        "thm53 (m=9, t=1, d_m=2) metric worst case >= own metric: " + ", ".join(notes)
+    )
+
+
+def test_thm51_top_t_rules_at_large_n(acceptance_notes):
+    notes = []
+    for n, m, t in ((200, 5, 2), (300, 7, 3)):
+        p = dl.thm51_profile(n, m, t)
+        for rule in ("top_t_det", "top_t_th"):
+            lot = TOPT_RULES[rule](p)
+            for world in ("metric", "utilitarian"):
+                oracle = dl.metric_distortion if world == "metric" else dl.utilitarian_distortion
+                report = oracle(lot, p)
+                assert not report.value.is_unbounded, (n, m, t, rule, world)
+                evaluated = dl.eval_distortion(lot, report.witness)
+                assert abs(evaluated.value - report.value.value) <= 1e-5, (n, m, t, rule, world)
+                notes.append(f"{rule} {world}@({n},{m},{t}) {report.value.value:.4f}")
+    acceptance_notes.append("thm51 top-t worst cases (reported, no bound): " + ", ".join(notes))
