@@ -17,7 +17,9 @@ undeclared parameter. ``reproduce`` tabulates every entry that takes full
 rankings and needs no parameter.
 
 stdout carries only each command's primary output; diagnostics go to
-stderr. Exit codes: 0 success, 2 unknown rule (or an argparse usage
+stderr. ``sweep`` and ``reproduce`` open ``--output`` once their arguments
+are checked and before any work, so a path that cannot be written exits 3
+with nothing on stdout; if the work then fails, the file is removed. Exit codes: 0 success, 2 unknown rule (or an argparse usage
 error), 3 an instance, config or output file that cannot be read, parsed
 or written, 4 bad parameters (undeclared, missing or out of range, or a
 rule/ballot-kind mismatch), 5 brute-force disagreement, 6 budget
@@ -36,14 +38,14 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
-import io
 import json
 import math
 import os
 import sys
 import time
-from typing import Callable, NamedTuple
+from typing import IO, Callable, Iterator, NamedTuple
 
 from . import instances, oracles, rules
 from .core import (
@@ -211,6 +213,22 @@ def _budget(args) -> int:
     return budget
 
 
+@contextlib.contextmanager
+def _output(path) -> Iterator[IO[str]]:
+    """``path`` opened for writing before any work, so that a path that
+    cannot be written exits 3 at once. If the work then fails, a regular
+    file at ``path`` is removed, so that a failed command leaves no output."""
+    with open(path, "w", newline="") as fh:
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
+            if os.path.isfile(path):
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -370,21 +388,18 @@ def cmd_sweep(args) -> int:
         cpus = os.cpu_count() or 1
     # One worker (or no cell) runs in-process.
     workers = _sweep_workers(args.jobs, len(items), cpus)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, items))
-    else:
-        results = [_sweep_worker(item) for item in items]
-
-    results.sort(key=lambda row: (row[0], row[1], row[2], str(row[3]), row[4], row[5]))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["rule", "n", "m", "t", "seed", "world", "distortion", "arg_optimum", "runtime_ms"]
-    )
-    writer.writerows(results)
-    with open(args.output, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+    with _output(args.output) as fh:
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_sweep_worker, items))
+        else:
+            results = [_sweep_worker(item) for item in items]
+        results.sort(key=lambda row: (row[0], row[1], row[2], str(row[3]), row[4], row[5]))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["rule", "n", "m", "t", "seed", "world", "distortion", "arg_optimum", "runtime_ms"]
+        )
+        writer.writerows(results)
     print(f"sweep: wrote {len(results)} rows to {args.output}", file=sys.stderr)
     return EXIT_OK
 
@@ -404,7 +419,7 @@ def cmd_reproduce(args) -> int:
         if "full" in entry.kinds and all(d is not None for d, _ in entry.params.values())
     )
     wanted = reproducible
-    if args.rules:
+    if args.rules is not None:
         wanted = tuple(x.strip() for x in args.rules.split(",") if x.strip())
         if not wanted:
             raise CliError(EXIT_BAD_PARAMS, f"--rules names no rule, got {args.rules!r}")
@@ -425,34 +440,36 @@ def cmd_reproduce(args) -> int:
             "pass --sample K to sample instead",
         )
 
-    table: list[tuple[str, str, str]] = []
-    for rid in wanted:
-        rule, _ = make_rule(rid, {})
-        row = [rid]
-        for world in oracles._WORLDS:
-            if exhaustive:
-                value, _ = oracles.exhaustive_worst_case(
-                    rule, n, m, world, budget=budget
-                )
-            else:
-                samples = (
-                    instances.random_profile(n, m, args.seed + j) for j in range(args.sample)
-                )
-                worst, _ = oracles._first_max(
-                    (oracles.rule_distortion(rule, p, world).value.value, p) for p in samples
-                )
-                value = DistortionValue(worst)
-            row.append(str(value))
-        table.append(tuple(row))
+    with _output(args.output) as fh:
+        table: list[tuple[str, str, str]] = []
+        for rid in wanted:
+            rule, _ = make_rule(rid, {})
+            row = [rid]
+            for world in oracles._WORLDS:
+                if exhaustive:
+                    value, _ = oracles.exhaustive_worst_case(
+                        rule, n, m, world, budget=budget
+                    )
+                else:
+                    samples = (
+                        instances.random_profile(n, m, args.seed + j)
+                        for j in range(args.sample)
+                    )
+                    worst, _ = oracles._first_max(
+                        (oracles.rule_distortion(rule, p, world).value.value, p)
+                        for p in samples
+                    )
+                    value = DistortionValue(worst)
+                row.append(str(value))
+            table.append(tuple(row))
 
-    header = ("rule", *oracles._WORLDS)
-    widths = [
-        max(len(row[col]) for row in table + [header]) + 2 for col in range(2)
-    ]
-    print(f"{header[0]:<{widths[0]}}{header[1]:<{widths[1]}}{header[2]}")
-    for rid, met, uti in table:
-        print(f"{rid:<{widths[0]}}{met:<{widths[1]}}{uti}")
-    with open(args.output, "w", newline="") as fh:
+        header = ("rule", *oracles._WORLDS)
+        widths = [
+            max(len(row[col]) for row in table + [header]) + 2 for col in range(2)
+        ]
+        print(f"{header[0]:<{widths[0]}}{header[1]:<{widths[1]}}{header[2]}")
+        for rid, met, uti in table:
+            print(f"{rid:<{widths[0]}}{met:<{widths[1]}}{uti}")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["rule", "metric_distortion", "utilitarian_distortion"])
         writer.writerows(table)

@@ -582,6 +582,17 @@ class TestSolverFailures:
         self._assert_one_line(code, out, err, failing_oracle)
         assert not out_csv.exists()
 
+    def test_reproduce(self, tmp_path, failing_oracle):
+        # The output, opened before the table runs, is removed again.
+        out_csv = tmp_path / "t.csv"
+        out_csv.write_text("an earlier table\n")
+        code, out, err = run_cli(
+            ["reproduce", "--n", "2", "--m", "2", "--rules", "plurality",
+             "--output", str(out_csv)]
+        )
+        self._assert_one_line(code, out, err, failing_oracle)
+        assert not out_csv.exists()
+
 
 class TestReproduce:
     def test_exhaustive_table(self, tmp_path):
@@ -657,12 +668,13 @@ class TestReproduce:
 
     def test_rule_filter_naming_no_rule(self, tmp_path):
         out_csv = tmp_path / "t.csv"
-        code, out, err = run_cli(
-            ["reproduce", "--n", "2", "--m", "2", "--output", str(out_csv), "--rules", ","]
-        )
-        assert code == 4 and out == ""
-        assert err.count("\n") == 1 and "--rules" in err
-        assert not out_csv.exists()
+        for rules in (",", ""):
+            code, out, err = run_cli(
+                ["reproduce", "--n", "2", "--m", "2", "--output", str(out_csv), "--rules", rules]
+            )
+            assert code == 4 and out == "", rules
+            assert err.count("\n") == 1 and "--rules" in err, rules
+            assert not out_csv.exists(), rules
 
     def test_unknown_rule_filter(self, tmp_path):
         code, _, _ = run_cli(
@@ -771,17 +783,28 @@ class TestUnwritableOutput:
         assert len(errors) == 1 and str(path) in errors[0]
         assert "Traceback" not in err
 
-    def test_reproduce_output(self, missing):
-        code, _, err = run_cli(
-            ["reproduce", "--n", "2", "--m", "2", "--rules", "plurality",
-             "--output", str(missing)]
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        # The output is opened before any table or sweep cell runs.
+        def fail(*args, **kwargs):
+            raise AssertionError("work ran before the output was opened")
+
+        monkeypatch.setattr(cli.oracles, "exhaustive_worst_case", fail)
+        monkeypatch.setattr(cli, "_sweep_worker", fail)
+
+    def test_reproduce_output(self, missing, no_work):
+        code, out, err = run_cli(
+            ["reproduce", "--n", "2", "--m", "3", "--output", str(missing)]
         )
+        assert out == ""
         self._assert_refused(code, err, missing)
 
-    def test_sweep_output(self, tmp_path, missing):
+    def test_sweep_output(self, tmp_path, missing, no_work):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(TestSweep.CONFIG, rules=["plurality"])))
-        code, out, err = run_cli(["sweep", "--config", str(cfg), "--output", str(missing)])
+        code, out, err = run_cli(
+            ["sweep", "--config", str(cfg), "--output", str(missing), "--jobs", "1"]
+        )
         assert out == ""
         self._assert_refused(code, err, missing)
 
