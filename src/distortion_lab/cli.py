@@ -19,7 +19,8 @@ rankings and needs no parameter.
 stdout carries only each command's primary output; diagnostics go to
 stderr. ``sweep`` and ``reproduce`` open ``--output`` once their arguments
 are checked and before any work, so a path that cannot be written exits 3
-with nothing on stdout; if the work then fails, the file is removed. Exit codes: 0 success, 2 unknown rule (or an argparse usage
+with nothing on stdout; if the work then fails, the file is removed.
+Exit codes: 0 success, 2 unknown rule (or an argparse usage
 error), 3 an instance, config or output file that cannot be read, parsed
 or written, 4 bad parameters (undeclared, missing or out of range, or a
 rule/ballot-kind mismatch), 5 brute-force disagreement, 6 budget

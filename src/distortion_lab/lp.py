@@ -25,7 +25,11 @@ the previous warm one: the metric oracle starts every candidate from
 candidate 0's. The ratio test pivots only on an entry above
 ``PIVOT_FLOOR`` (1e-8), a hundred times ``PIVOT_TOL``: on a warm tableau a
 pivot on rounding residue of about 1e-10 grows the entries to 1e18 and
-beyond, and the solve then stalls or finds phase 1 unbounded.
+beyond, and the solve then stalls or finds phase 1 unbounded. In a warm
+phase 1 the one artificial leaves as soon as its row ties in the ratio
+test, which ends the phase; Bland's lowest-index rule would keep it
+basic, at a value that is only rounding residue, through thousands of
+pivots.
 """
 
 from __future__ import annotations
@@ -206,8 +210,8 @@ def solve(
 
     Reduced costs and entries with magnitude at most ``PIVOT_TOL`` count as
     zero for pivoting decisions, and the ratio test also skips entries at
-    most ``PIVOT_FLOOR``. Each phase is capped at 10_000 + 100 * (rows + columns)
-    pivots; Bland's rule guarantees finite termination, so hitting the cap
+    most ``PIVOT_FLOOR``. Each phase is capped at
+    10_000 + 100 * (rows + columns) pivots; Bland's rule guarantees finite termination, so hitting the cap
     raises :class:`SolverError`, as does a failed post-check.
 
     Args:
@@ -302,9 +306,8 @@ def solve(
         tab[-1, :art_start] = -0.0
         tab[-1, art_start:-1] = 1.0
         tab[-1] = np.subtract.reduce(tab[[n_rows] + art_rows], axis=0)
-        # A warm start's one artificial leaves as soon as it ties: that ends
-        # phase 1, where Bland's rule would keep pivoting on rows whose
-        # values are rounding residue while it stays basic near 0.
+        # A warm start's one artificial leaves as soon as it ties (module
+        # docstring); once it has left, phase 1 is optimal.
         first_out = None if start is None else art_start
         if _run_phase(tab, basis, n_cols, max_pivots, dump, first_out) != OPTIMAL:
             raise SolverError("phase 1 is bounded by construction")

@@ -44,7 +44,8 @@ or unbounded, comes with a concrete witness instance.
   bounding lambda by 0 loses nothing because the primal value is
   positive. The m dual programs differ only in lambda's column a_X*, so
   they are warm-started: X* = 0 from the all-artificial basis, each later
-  X* from X* = 0's optimal basis (``lp.solve``'s ``start``). The row duals of the winning dual are an optimal y. They
+  X* from X* = 0's optimal basis (``lp.solve``'s ``start``). The row
+  duals of the winning dual are an optimal y. They
   are checked against the primal (y >= 0, A y <= 0, a_X*.y = 1, c.y equal
   to the dual value), expanded to the n x m grid in which every agent
   takes its ballot's row, and then closed into the witness. The answer is

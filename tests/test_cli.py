@@ -794,7 +794,8 @@ class TestUnwritableOutput:
 
     def test_reproduce_output(self, missing, no_work):
         code, out, err = run_cli(
-            ["reproduce", "--n", "2", "--m", "3", "--output", str(missing)]
+            ["reproduce", "--n", "2", "--m", "2", "--rules", "plurality",
+             "--output", str(missing)]
         )
         assert out == ""
         self._assert_refused(code, err, missing)
