@@ -803,9 +803,7 @@ class TestUnwritableOutput:
     def test_sweep_output(self, tmp_path, missing, no_work):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(TestSweep.CONFIG, rules=["plurality"])))
-        code, out, err = run_cli(
-            ["sweep", "--config", str(cfg), "--output", str(missing), "--jobs", "1"]
-        )
+        code, out, err = run_cli(["sweep", "--config", str(cfg), "--output", str(missing)])
         assert out == ""
         self._assert_refused(code, err, missing)
 
