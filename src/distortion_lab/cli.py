@@ -7,7 +7,8 @@ Commands: ``run`` (apply a rule to an instance, print the lottery),
 and ``generate`` (write generator output to instance files). Each command
 declares only the flags it reads: ``--jobs`` on ``sweep``, ``--budget`` on
 ``oracle`` and ``reproduce``, ``--seed`` on ``reproduce`` and ``generate``;
-``generate`` refuses a flag its ``--kind`` does not read (``GENERATE_READERS``).
+``generate`` refuses a flag its ``--kind`` does not read (``GENERATORS``),
+and ``oracle --lottery`` refuses the rule parameter flags.
 
 ``RULES`` is the one table of rule ids: each entry gives a factory, the
 ballot kinds it accepts and its declared parameters with their defaults
@@ -79,13 +80,14 @@ class CliError(Exception):
 
 
 def _number(requirement: str, ok: Callable[[float], bool]) -> Callable[[object], float]:
-    """A parameter parser: the value as a float, or ValueError unless ``ok``."""
+    """A parameter parser: a number (int or float; not a bool or a string)
+    as a float, or ValueError unless ``ok``."""
 
     def parse(value) -> float:
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            number = None
+        number = None
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            with contextlib.suppress(OverflowError):  # an int beyond float range
+                number = float(value)
         if number is None or not ok(number):
             raise ValueError(f"needs {requirement}, got {value!r}")
         return number
@@ -177,13 +179,13 @@ def make_rule(rule_id, params: dict) -> tuple[oracles.Rule, frozenset[str]]:
     return entry.factory(**values), kinds
 
 
+# The rule parameter flags of ``run`` and ``oracle``.
+RULE_FLAGS = ("epsilon", "beta", "components")
+
+
 def _apply_rule(args, p: Profile | TopTProfile) -> Lottery:
     """The lottery of ``--rule`` and its parameter flags on ``p``."""
-    params = {
-        name: getattr(args, name)
-        for name in ("epsilon", "beta", "components")
-        if getattr(args, name) is not None
-    }
+    params = {name: getattr(args, name) for name in RULE_FLAGS if getattr(args, name) is not None}
     rule, kinds = make_rule(args.rule, params)
     kind = "topt" if isinstance(p, TopTProfile) else "full"
     if kind not in kinds:
@@ -246,6 +248,9 @@ def cmd_oracle(args) -> int:
     if (args.lottery is None) == (args.rule is None):
         raise CliError(EXIT_BAD_PARAMS, "provide exactly one of --lottery or --rule")
     if args.lottery is not None:
+        for name in RULE_FLAGS:
+            if getattr(args, name) is not None:
+                raise CliError(EXIT_BAD_PARAMS, f"--{name} is read with --rule, not --lottery")
         lot = instances.load_lottery(args.lottery)
         if lot.m != p.m:
             raise CliError(
@@ -313,7 +318,11 @@ def _sweep_worker(item: dict) -> tuple:
 
 def _parse_sweep_config(path) -> dict:
     data = instances._read_json(path)
-    instances._expect_fields(path, data, ("rules", "grid", "seeds", "worlds"))
+    fields = ("rules", "grid", "seeds", "worlds")
+    instances._expect_fields(path, data, fields)
+    for field in fields:
+        if not (isinstance(data[field], list) and data[field]):
+            raise InstanceFormatError(f"{path}: {field!r} is not a non-empty list")
     for cell in data["grid"]:
         if not isinstance(cell, dict):
             raise InstanceFormatError(f"{path}: grid cell {cell!r} is not an object")
@@ -478,37 +487,38 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
-# The kinds that read each optional generate flag; every kind reads --n and --m.
-GENERATE_READERS = {
-    "seed": ("random",), "t": ("thm51", "thm53"), "dm": ("thm53",), "metric_out": ("thm36", "thm53")
+class Generator(NamedTuple):
+    factory: Callable[..., tuple]  # (n, m, *flag values) -> (profile, metric or None)
+    flags: dict  # optional flag -> default, in factory order; a default of None marks it required
+    metric: bool = False  # the kind also builds a metric, so it reads --metric-out
+
+
+GENERATORS: dict[str, Generator] = {  # every kind also reads --n and --m
+    "random": Generator(lambda n, m, s: (instances.random_profile(n, m, s), None), {"seed": 0}),
+    "prop31": Generator(lambda n, m: (instances.prop31_profile(n, m), None), {}),
+    "thm36": Generator(lambda n, m: instances.thm36_instance(m, n), {}, metric=True),
+    "thm51": Generator(lambda n, m, t: (instances.thm51_profile(n, m, t), None), {"t": None}),
+    "thm53": Generator(instances.thm53_instance, {"t": None, "dm": 2.0}, metric=True),
 }
 
 
 def cmd_generate(args) -> int:
-    kind = args.kind
-    for name, kinds in GENERATE_READERS.items():
-        if getattr(args, name) is not None and kind not in kinds:
+    kind, gen = args.kind, GENERATORS[args.kind]
+    reads = set(gen.flags) | ({"metric_out"} if gen.metric else set())
+    for name in ("seed", "t", "dm", "metric_out"):  # generate's optional flags
+        if getattr(args, name) is not None and name not in reads:
             flag = "--" + name.replace("_", "-")
             raise CliError(EXIT_BAD_PARAMS, f"{flag} is not read by --kind {kind}")
-    metric = None
+    if args.n is None or args.m is None:
+        raise CliError(EXIT_BAD_PARAMS, f"{kind} needs --n and --m")
+    values = []
+    for name, default in gen.flags.items():
+        value = default if getattr(args, name) is None else getattr(args, name)
+        if value is None:
+            raise CliError(EXIT_BAD_PARAMS, f"{kind} needs --{name}")
+        values.append(value)
     try:
-        if args.n is None or args.m is None:
-            raise ValueError(f"{kind} needs --n and --m")
-        if kind == "random":
-            out = instances.random_profile(args.n, args.m, args.seed or 0)
-        elif kind == "prop31":
-            out = instances.prop31_profile(args.n, args.m)
-        elif kind == "thm36":
-            out, metric = instances.thm36_instance(args.m, args.n)
-        elif kind == "thm51":
-            if args.t is None:
-                raise ValueError("thm51 needs --t")
-            out = instances.thm51_profile(args.n, args.m, args.t)
-        else:  # thm53
-            if args.t is None:
-                raise ValueError("thm53 needs --t")
-            dm = 2.0 if args.dm is None else args.dm
-            out, metric = instances.thm53_instance(args.n, args.m, args.t, dm)
+        out, metric = gen.factory(args.n, args.m, *values)
     except ValueError as exc:
         raise CliError(EXIT_BAD_PARAMS, str(exc))
     instances.save_instance(out, args.out)
@@ -606,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.set_defaults(func=cmd_reproduce)
 
     generate = subs.add_parser("generate", help="write generator output to files")
-    generate.add_argument("--kind", choices=instances.GENERATOR_KINDS, required=True)
+    generate.add_argument("--kind", choices=GENERATORS, required=True)
     generate.add_argument("--out", required=True)
     generate.add_argument("--metric-out", default=None)
     generate.add_argument("--n", type=int, default=None)

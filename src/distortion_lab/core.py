@@ -48,7 +48,6 @@ __all__ = [
     "DistortionValue",
     "validate_profile",
     "plurality_scores",
-    "restrict_profile",
     "truncate_profile",
     "is_metric_consistent",
     "is_utility_consistent",
@@ -180,24 +179,6 @@ def _restrict_ballots(
     return tuple(
         tuple(new_of_old[x] for x in ballot if x in new_of_old) for ballot in ballots
     )
-
-
-def restrict_profile(
-    p: Profile, keep: "list[int] | tuple[int, ...] | set[int]"
-) -> tuple[Profile, tuple[int, ...]]:
-    """Restrict a full profile to a subset of alternatives.
-
-    Kept alternatives are re-indexed in ascending original order. Returns the
-    restricted profile together with ``index_map`` where ``index_map[new]`` is
-    the original index, so results on the restriction can be mapped back.
-    """
-    kept = sorted({int(x) for x in keep})
-    if not kept:
-        raise ValueError("empty restriction: need at least one alternative to keep")
-    for x in kept:
-        if not (0 <= x < p.m):
-            raise ValueError(f"alternative {x} out of range for m={p.m}")
-    return Profile(len(kept), _restrict_ballots(p.rankings, kept)), tuple(kept)
 
 
 def truncate_profile(p: Profile, t: int) -> TopTProfile:

@@ -35,7 +35,6 @@ __all__ = [
     "thm36_instance",
     "thm51_profile",
     "thm53_instance",
-    "GENERATOR_KINDS",
     "load_instance",
     "save_instance",
     "load_metric",
@@ -45,9 +44,6 @@ __all__ = [
     "load_lottery",
     "save_lottery",
 ]
-
-GENERATOR_KINDS = ("random", "prop31", "thm36", "thm51", "thm53")
-
 
 class InstanceFormatError(ValueError):
     """A file failed to parse or violated an invariant on load."""

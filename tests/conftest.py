@@ -12,6 +12,7 @@ import re
 
 import numpy as np
 import pytest
+from paper_claims import BY_ID
 
 from distortion_lab import (
     Lottery,
@@ -80,16 +81,41 @@ def consistent_utilities(rng: np.random.Generator, p) -> UtilityProfile:
 # Acceptance summary: one PASS/FAIL line per criterion at the end of the run
 # ---------------------------------------------------------------------------
 
+
+def _text(claim_id: str) -> str:
+    return BY_ID[claim_id].text
+
+
+# The bounds in criteria 02-04 and 06-09 are printed from paper_claims.CLAIMS.
 _CRITERIA_TITLES = {
     1: "vertex-choice and enumeration utilitarian oracles agree within 1e-6",
-    2: "plurality-veto metric distortion <= 3 + 1e-6",
-    3: "pruned plurality-veto <= 10 metric and <= 7*m^2 utilitarian (eps=1)",
-    4: "truncated harmonic <= 4 metric and <= sqrt(72)*sqrt(m)*H_m utilitarian",
+    2: f"plurality-veto metric distortion <= {_text('pv-metric')} + 1e-6",
+    3: (
+        f"pruned plurality-veto <= {_text('ppv-metric')} metric and "
+        f"<= {_text('ppv-utilitarian')} utilitarian (eps=1)"
+    ),
+    4: (
+        f"truncated harmonic <= {_text('th-metric')} metric and "
+        f"<= {_text('th-utilitarian')} utilitarian (eps=1)"
+    ),
     5: "harmonic lottery unbounded when one alternative is ranked last by all",
-    6: "plurality-veto utilitarian distortion grows at least linearly on the seeded family",
-    7: "structured 4x4 instance: cost ratio exactly 7 and oracle >= 7 - 1e-6",
-    8: "plurality worst case <= 5 at (3,3); sampled search reaches >= 3.5",
-    9: "prefix-only truncated harmonic (m=4, t=2): metric <= 42, utilitarian finite",
+    6: (
+        f"plurality-veto utilitarian distortion >= {_text('pv-utilitarian-prop31')} "
+        "on the Prop. 3.1 family, nondecreasing in n"
+    ),
+    7: (
+        f"structured 4x4 instance: cost ratio exactly {_text('point-mass-metric-thm36')} "
+        f"= {BY_ID['point-mass-metric-thm36'].bound(4, 4, None):g} and oracle >= it - 1e-6"
+    ),
+    8: (
+        f"plurality worst case <= {_text('plurality-metric')} at (3,3); "
+        "sampled search reaches >= 3.5"
+    ),
+    9: (
+        "prefix-only truncated harmonic (m=4, t=2): metric <= "
+        f"{_text('top-t-th-metric')} = {BY_ID['top-t-th-metric'].bound(None, 4, 2):g}, "
+        "utilitarian finite"
+    ),
     10: "mixed lotteries respect the affine / harmonic-mean composition bounds",
     11: "every documented invariant holds as a >=100-case property suite",
     12: "sweep CSV byte-identical across runs and across --jobs 1 vs 8",

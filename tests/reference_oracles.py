@@ -69,6 +69,10 @@ bits. ``reference_copeland`` is Copeland's loop over the pairs, and
 ``reference_pruned_plurality_veto`` runs the reference veto phase on the
 restricted ``Profile``, where the rules now count all pairwise wins at once
 from ``p.positions`` and take the veto winner on the restricted ballots.
+
+``restrict_profile`` builds that restricted ``Profile``. It left the
+library's public API once no library code called it; the library keeps
+only ``core._restrict_ballots``, which it wraps.
 """
 
 from __future__ import annotations
@@ -88,8 +92,8 @@ from distortion_lab.core import (
     TopTProfile,
     UtilityProfile,
     _consistency_chain,
+    _restrict_ballots,
     plurality_scores,
-    restrict_profile,
 )
 from distortion_lab.oracles import (
     DistortionReport,
@@ -643,6 +647,24 @@ def reference_copeland(p: Profile) -> Lottery:
                 score[x] += 0.5
                 score[y] += 0.5
     return Lottery.point_mass(p.m, int(np.argmax(score)))
+
+
+def restrict_profile(
+    p: Profile, keep: "list[int] | tuple[int, ...] | set[int]"
+) -> tuple[Profile, tuple[int, ...]]:
+    """Restrict a full profile to a subset of alternatives.
+
+    Kept alternatives are re-indexed in ascending original order. Returns the
+    restricted profile together with ``index_map`` where ``index_map[new]`` is
+    the original index, so results on the restriction can be mapped back.
+    """
+    kept = sorted({int(x) for x in keep})
+    if not kept:
+        raise ValueError("empty restriction: need at least one alternative to keep")
+    for x in kept:
+        if not (0 <= x < p.m):
+            raise ValueError(f"alternative {x} out of range for m={p.m}")
+    return Profile(len(kept), _restrict_ballots(p.rankings, kept)), tuple(kept)
 
 
 def reference_pruned_plurality_veto(p: Profile, eps: float = 1.0) -> Lottery:

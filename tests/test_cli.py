@@ -17,6 +17,7 @@ import pytest
 
 import distortion_lab as dl
 from distortion_lab import cli
+from paper_claims import checked_by
 
 
 def run_cli(argv):
@@ -123,14 +124,15 @@ class TestRun:
 
 
 class TestOracle:
-    def test_metric_rule_report(self, inst):
+    def test_metric_rule_report(self, inst, request):
+        (row,) = checked_by(request)
         code, out, _ = run_cli(
-            ["oracle", "--world", "metric", "--rule", "plurality_veto",
+            ["oracle", "--world", "metric", "--rule", row.rule,
              "--instance", str(inst)]
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["value"] <= 3 + 1e-6
+        assert payload["value"] <= row.bound(3, 3, None) + dl.RATIO_TOL
         assert payload["witness"]["points"] == 6
 
     def test_lottery_file_input(self, inst, tmp_path):
@@ -151,6 +153,22 @@ class TestOracle:
              "--rule", "plurality", "--instance", str(inst)]
         )
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--epsilon", "3"), ("--beta", "0.5"), ("--components", "plurality,harmonic")],
+    )
+    def test_lottery_refuses_rule_flags(self, inst, tmp_path, flag, value):
+        # A rule parameter flag is refused by name with --lottery, as run
+        # refuses a parameter its rule does not declare.
+        lot_path = tmp_path / "lot.json"
+        dl.save_lottery(dl.Lottery(np.array([1.0, 0.0, 0.0])), lot_path)
+        code, out, err = run_cli(
+            ["oracle", "--world", "metric", "--lottery", str(lot_path),
+             "--instance", str(inst), flag, value]
+        )
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and flag in err
 
     def test_lottery_width_mismatch(self, inst, tmp_path):
         lot_path = tmp_path / "lot.json"
@@ -333,13 +351,32 @@ class TestSweep:
         assert len(body) == 6
         assert all(r[8] == "0" for r in body)
 
-    def test_malformed_config(self, tmp_path):
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({"rules": ["plurality"], "grid": []}, "seeds"),
+            (dict(CONFIG, rules="plurality"), "rules"),
+            (dict(CONFIG, worlds="metric"), "worlds"),
+            (dict(CONFIG, rules=[]), "rules"),
+            (dict(CONFIG, grid=[]), "grid"),
+            (dict(CONFIG, seeds=[]), "seeds"),
+            (dict(CONFIG, worlds=[]), "worlds"),
+            (dict(CONFIG, grid={"n": 3, "m": 3}), "grid"),
+        ],
+        ids=[
+            "missing-fields", "rules-string", "worlds-string", "rules-empty",
+            "grid-empty", "seeds-empty", "worlds-empty", "grid-object",
+        ],
+    )
+    def test_malformed_config(self, tmp_path, config, named):
+        # Each exits 3 naming the field, before any cell runs.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"rules": ["plurality"], "grid": []}))
-        code, _, _ = run_cli(
-            ["sweep", "--config", str(cfg), "--output", str(tmp_path / "o.csv")]
-        )
-        assert code == 3
+        cfg.write_text(json.dumps(config))
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run_cli(["sweep", "--config", str(cfg), "--output", str(out_csv)])
+        assert code == 3 and out == ""
+        assert f"'{named}'" in err
+        assert not out_csv.exists()
 
     def test_unknown_rule_in_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -358,6 +395,10 @@ class TestSweep:
             ({"id": "ppv", "epsilon": "abc"}, 4),
             ({"id": "top_t_th", "epsilon": 1.0}, 4),
             ({"id": "mix", "components": ["plurality", "harmonic"]}, 4),
+            ({"id": "ppv", "epsilon": True}, 4),
+            ({"id": "mix", "components": ["plurality", "harmonic"], "beta": False}, 4),
+            ({"id": "truncated_harmonic", "epsilon": "2"}, 4),
+            ({"id": "ppv", "epsilon": 10**400}, 4),
         ],
     )
     def test_rule_entry_faults_match_run(self, tmp_path, entry, expected):
@@ -615,16 +656,17 @@ class TestReproduce:
         assert code == 6
         assert "--sample" in err
 
-    def test_sampled_fallback(self, tmp_path):
+    def test_sampled_fallback(self, tmp_path, request):
+        (row,) = checked_by(request)
         out_csv = tmp_path / "sampled.csv"
         code, out, _ = run_cli(
             ["reproduce", "--n", "4", "--m", "3", "--output", str(out_csv),
-             "--rules", "plurality_veto", "--budget", "100", "--sample", "5",
+             "--rules", row.rule, "--budget", "100", "--sample", "5",
              "--seed", "3"]
         )
         assert code == 0
         value = float(csv.reader(out_csv.read_text().splitlines()[1:]).__next__()[1])
-        assert 1.0 <= value <= 3 + 1e-6
+        assert 1.0 <= value <= row.bound(4, 3, None) + dl.RATIO_TOL
 
     @pytest.mark.parametrize("sample", ["0", "-3"])
     def test_sample_below_one(self, tmp_path, sample):

@@ -16,12 +16,12 @@ from distortion_lab import (
     is_metric_consistent,
     is_utility_consistent,
     plurality_scores,
-    restrict_profile,
     social_cost,
     social_welfare,
     truncate_profile,
     validate_profile,
 )
+from reference_oracles import restrict_profile
 
 P1 = Profile(m=3, rankings=((0, 1, 2), (0, 2, 1), (1, 0, 2)))
 P2 = Profile(m=3, rankings=((0, 1, 2), (1, 0, 2), (2, 1, 0)))

@@ -14,6 +14,7 @@ import distortion_lab.lp as lp_mod
 import distortion_lab.oracles as oracles_mod
 from conftest import random_lottery
 from distortion_lab.cli import RULES, make_rule
+from paper_claims import checked_by
 from reference_oracles import (
     reference_completion_max,
     reference_exhaustive_worst_case,
@@ -733,12 +734,13 @@ class TestCompletionCrossCheck:
 
 
 class TestRuleDistortion:
-    def test_plurality_veto_p2(self):
+    def test_plurality_veto_p2(self, request):
+        (row,) = checked_by(request)
         p2 = Profile(
             m=3, rankings=((0, 1, 2), (1, 0, 2), (2, 1, 0))
         )
-        rep = rule_distortion(lambda q: dl.plurality_veto(q)[0], p2, "metric")
-        assert rep.value.is_finite and rep.value.value <= 3 + 1e-6
+        rep = rule_distortion(make_rule(row.rule, row.params)[0], p2, row.world)
+        assert rep.value.is_finite and rep.value.value <= row.bound(p2.n, p2.m, None) + dl.RATIO_TOL
 
     def test_random_dictatorship_two_agents(self):
         rep = rule_distortion(dl.random_dictatorship, AB_BA, "metric")
