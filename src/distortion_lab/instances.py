@@ -319,10 +319,13 @@ def load_metric(path: str | Path, n: int, m: int) -> MetricSpace:
         raise InstanceFormatError(f"{path}: invalid metric: {exc}")
 
 
+def _metric_json(d: MetricSpace) -> dict:
+    """The JSON object ``load_metric`` reads: a file, or a report's witness."""
+    return {"points": d.n + d.m, "dist": d.dist.tolist()}
+
+
 def save_metric(d: MetricSpace, path: str | Path):
-    Path(path).write_text(
-        json.dumps({"points": d.n + d.m, "dist": d.dist.tolist()}) + "\n"
-    )
+    Path(path).write_text(json.dumps(_metric_json(d)) + "\n")
 
 
 def load_utilities(path: str | Path) -> UtilityProfile:
@@ -334,8 +337,13 @@ def load_utilities(path: str | Path) -> UtilityProfile:
         raise InstanceFormatError(f"{path}: invalid utilities: {exc}")
 
 
+def _utilities_json(u: UtilityProfile) -> dict:
+    """The JSON object ``load_utilities`` reads: a file, or a report's witness."""
+    return {"util": u.util.tolist()}
+
+
 def save_utilities(u: UtilityProfile, path: str | Path):
-    Path(path).write_text(json.dumps({"util": u.util.tolist()}) + "\n")
+    Path(path).write_text(json.dumps(_utilities_json(u)) + "\n")
 
 
 def load_lottery(path: str | Path) -> Lottery:

@@ -127,6 +127,7 @@ from .core import (
     eval_distortion,
     _consistency_chain,
 )
+from .instances import _metric_json, _utilities_json
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
 
@@ -187,17 +188,11 @@ class DistortionReport:
     arg_optimum: int
 
     def to_json(self) -> dict:
-        if isinstance(self.witness, MetricSpace):
-            witness = {
-                "points": self.witness.n + self.witness.m,
-                "dist": self.witness.dist.tolist(),
-            }
-        else:
-            witness = {"util": self.witness.util.tolist()}
+        metric = isinstance(self.witness, MetricSpace)
         return {
             "value": self.value.as_json(),
             "arg_optimum": self.arg_optimum,
-            "witness": witness,
+            "witness": (_metric_json if metric else _utilities_json)(self.witness),
         }
 
 

@@ -19,7 +19,6 @@ of every veto-based rule, and one harmonic row builder, ``_anchored_rows``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -214,23 +213,18 @@ def truncated_harmonic(p: Profile, eps: float = 1.0) -> Lottery:
     return Lottery(prob)
 
 
-BaseTopKRule = Callable[[tuple[tuple[int, ...], ...], int], int]
-
-
-def top_t_det_rule(p: TopTProfile, base_rule: BaseTopKRule | None = None) -> Lottery:
+def top_t_det_rule(p: TopTProfile) -> Lottery:
     """Deterministic winner from top-t ballots.
 
     With t at most m/2 the plurality winner is returned outright. Otherwise
     alternatives with plurality score at least n/(2m) form the shortlist; if
     the shortlist has fewer than 2(m-t+1) members its max-plurality member
-    wins, and otherwise the ballots are restricted to the shortlist and a
-    pluggable base rule picks the winner from the (now nearly complete)
-    restricted ballots. The default base rule is the restricted veto phase.
+    wins, and otherwise the ballots are restricted to the shortlist and the
+    veto phase picks the winner from the (now nearly complete) restricted
+    ballots.
     """
     if not isinstance(p, TopTProfile):
         raise ValueError("top_t_det_rule expects a top-t profile")
-    if base_rule is None:
-        base_rule = _restricted_plurality_veto
     scores = plurality_scores(p)
     if 2 * p.t <= p.m:
         return Lottery.point_mass(p.m, int(np.argmax(scores)))
@@ -238,29 +232,23 @@ def top_t_det_rule(p: TopTProfile, base_rule: BaseTopKRule | None = None) -> Lot
     if len(shortlist) < 2 * (p.m - p.t + 1):
         # The overall plurality winner always clears the shortlist bar.
         return Lottery.point_mass(p.m, int(np.argmax(scores)))
-    winner_sub = base_rule(_restrict_ballots(p.prefixes, shortlist), len(shortlist))
-    return Lottery.point_mass(p.m, shortlist[winner_sub])
+    winner = _restricted_plurality_veto(_restrict_ballots(p.prefixes, shortlist), len(shortlist))
+    return Lottery.point_mass(p.m, shortlist[winner])
 
 
-AnchorRule = Callable[[TopTProfile], int]
-
-
-def top_t_truncated_harmonic(
-    p: TopTProfile, anchor_rule: AnchorRule | None = None
-) -> Lottery:
+def top_t_truncated_harmonic(p: TopTProfile) -> Lottery:
     """Truncated harmonic lottery from top-t ballots.
 
-    Each agent gives probability 1/(2 * H_t * rank) to every ranked
-    alternative they place strictly above the anchor and the rest to the
-    anchor. Agents whose prefix omits the anchor treat all of their ranked
-    alternatives as above it. Since the per-agent harmonic mass totals 1/2,
-    the anchor always keeps probability at least 1/2.
+    The anchor is the ``top_t_det_rule`` winner. Each agent gives
+    probability 1/(2 * H_t * rank) to every ranked alternative they place
+    strictly above the anchor and the rest to the anchor. Agents whose
+    prefix omits the anchor treat all of their ranked alternatives as above
+    it. Since the per-agent harmonic mass totals 1/2, the anchor always
+    keeps probability at least 1/2.
     """
     if not isinstance(p, TopTProfile):
         raise ValueError("top_t_truncated_harmonic expects a top-t profile")
-    anchor = int(np.argmax(top_t_det_rule(p).prob) if anchor_rule is None else anchor_rule(p))
-    if not (0 <= anchor < p.m):
-        raise ValueError(f"anchor {anchor} out of range for m={p.m}")
+    anchor = int(np.argmax(top_t_det_rule(p).prob))
     return Lottery(_anchored_rows(p, anchor, 2.0 * harmonic_number(p.t)).mean(axis=0))
 
 

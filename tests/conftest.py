@@ -1,4 +1,4 @@
-"""Shared samplers and the acceptance summary hook.
+"""Shared samplers, the README reader and the acceptance summary hook.
 
 The samplers build *consistent* cardinal instances by construction:
 points are drawn in a unit cube, the metric is Euclidean, and the
@@ -8,6 +8,7 @@ they return passes the consistency predicate by design.
 
 from __future__ import annotations
 
+import pathlib
 import re
 
 import numpy as np
@@ -75,6 +76,17 @@ def consistent_utilities(rng: np.random.Generator, p) -> UtilityProfile:
             rest = [x for x in range(p.m) if x not in prefix]
             rows[i, rest] = vals[len(prefix) :]
     return UtilityProfile(util=rows)
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_section(title: str) -> list[str]:
+    """The lines of the README's ``## title`` section."""
+    lines = README.read_text().splitlines()
+    start = lines.index(f"## {title}") + 1
+    end = next((k for k in range(start, len(lines)) if lines[k].startswith("## ")), len(lines))
+    return lines[start:end]
 
 
 # ---------------------------------------------------------------------------

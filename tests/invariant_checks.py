@@ -24,6 +24,7 @@ import distortion_lab.oracles as oracles_mod
 from distortion_lab import cli
 from distortion_lab.core import _consistency_chain
 
+from certificates import assert_certified
 from conftest import (
     consistent_utilities,
     profile_from_metric,
@@ -237,24 +238,8 @@ def _check_oracle_witness():
         if case % 4 == 0 and m >= 2:
             p = dl.truncate_profile(p, max(1, m - 1))
         lot = random_lottery(rng, m)
-        for world, oracle, predicate in (
-            ("metric", dl.metric_distortion, dl.is_metric_consistent),
-            ("utilitarian", dl.utilitarian_distortion, dl.is_utility_consistent),
-        ):
-            report = oracle(lot, p)
-            assert report.witness is not None, (case, world)
-            assert predicate(report.witness, p), (case, world)
-            evaluated = dl.eval_distortion(lot, report.witness)
-            if report.value.is_finite:
-                assert evaluated.is_finite, (case, world)
-                assert abs(evaluated.value - report.value.value) <= 1e-5, (
-                    case,
-                    world,
-                    evaluated.value,
-                    report.value.value,
-                )
-            else:
-                assert evaluated.is_unbounded, (case, world)
+        for world in ("metric", "utilitarian"):
+            assert_certified(lot, p, oracles_mod._oracle(world)(lot, p), (case, world))
 
 
 @_register("oracle-prefix-data-never-below-full-data")

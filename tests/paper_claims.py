@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import distortion_lab as dl
+from certificates import assert_certified
 from distortion_lab import cli
 from distortion_lab.oracles import _oracle
 
@@ -121,7 +122,8 @@ def make_rule(row: Claim) -> dl.oracles.Rule:
 
 def check_upper_bounds(rows, profiles, notes: list[str], scope: str) -> list[tuple]:
     """Assert every row's upper bound on every profile, within ``dl.RATIO_TOL``,
-    and note the worst value/bound per row id under ``scope``.
+    certify each report, and note the worst value/bound per row id under
+    ``scope``.
 
     Returns (profile index, row, lottery, value) for each check, for the
     caller's own further checks on the same lotteries.
@@ -133,7 +135,9 @@ def check_upper_bounds(rows, profiles, notes: list[str], scope: str) -> list[tup
     for j, p in enumerate(profiles):
         for row, rule in built:
             lot = rule(p)
-            value = _oracle(row.world)(lot, p).value
+            report = _oracle(row.world)(lot, p)
+            assert_certified(lot, p, report, (scope, j, row.id))
+            value = report.value
             bound = row.bound(p.n, p.m, getattr(p, "t", None))
             assert not value.is_unbounded, (scope, j, row.id)
             assert value.value <= bound + dl.RATIO_TOL, (scope, j, row.id, value.value, bound)

@@ -61,14 +61,16 @@ oracle.
 The rule references are the per-kind loops the rules ran before they
 shared one veto phase and one anchored-row builder:
 ``reference_plurality_veto`` (full rankings), ``reference_restricted_veto``
-(ragged prefixes, the base rule of ``top_t_det_rule``),
-``reference_truncated_weights`` and ``reference_truncated_harmonic`` (full
-rankings, anchor H_m) and ``reference_top_t_truncated_harmonic`` (prefixes,
-anchor 2 H_t). They are kept to check that the shared loops give the same
-bits. ``reference_copeland`` is Copeland's loop over the pairs, and
-``reference_pruned_plurality_veto`` runs the reference veto phase on the
-restricted ``Profile``, where the rules now count all pairwise wins at once
-from ``p.positions`` and take the veto winner on the restricted ballots.
+(ragged prefixes), ``reference_top_t_det_rule`` (``top_t_det_rule`` with
+that veto phase on its shortlist), ``reference_truncated_weights`` and
+``reference_truncated_harmonic`` (full rankings, anchor H_m) and
+``reference_top_t_truncated_harmonic`` (prefixes, anchor 2 H_t at the
+``reference_top_t_det_rule`` winner). They are kept to check that the
+shared loops give the same bits. ``reference_copeland`` is Copeland's loop
+over the pairs, and ``reference_pruned_plurality_veto`` runs the reference
+veto phase on the restricted ``Profile``, where the rules now count all
+pairwise wins at once from ``p.positions`` and take the veto winner on the
+restricted ballots.
 
 ``restrict_profile`` builds that restricted ``Profile``. It left the
 library's public API once no library code called it; the library keeps
@@ -106,7 +108,7 @@ from distortion_lab.oracles import (
     _utilitarian_unbounded,
     rule_distortion,
 )
-from distortion_lab.rules import VetoTrace, harmonic_number, top_t_det_rule
+from distortion_lab.rules import VetoTrace, harmonic_number
 
 DEGENERACY_TOL = 1e-7
 
@@ -701,6 +703,18 @@ def reference_restricted_veto(prefixes: tuple[tuple[int, ...], ...], m_sub: int)
     return target
 
 
+def reference_top_t_det_rule(p: TopTProfile) -> Lottery:
+    """``top_t_det_rule`` with ``reference_restricted_veto`` on the shortlist."""
+    scores = plurality_scores(p)
+    if 2 * p.t <= p.m:
+        return Lottery.point_mass(p.m, int(np.argmax(scores)))
+    shortlist = [x for x in range(p.m) if scores[x] >= p.n / (2.0 * p.m) - 1e-9]
+    if len(shortlist) < 2 * (p.m - p.t + 1):
+        return Lottery.point_mass(p.m, int(np.argmax(scores)))
+    winner = reference_restricted_veto(_restrict_ballots(p.prefixes, shortlist), len(shortlist))
+    return Lottery.point_mass(p.m, shortlist[winner])
+
+
 def reference_truncated_weights(p: Profile, anchor: int) -> np.ndarray:
     """Rows of 1/(H_m * rank) above ``anchor`` on full rankings, the rest on it."""
     h_m = harmonic_number(p.m)
@@ -722,8 +736,8 @@ def reference_truncated_harmonic(p: Profile, eps: float = 1.0) -> Lottery:
 
 
 def reference_top_t_truncated_harmonic(p: TopTProfile) -> Lottery:
-    """Rows of 1/(2 H_t * rank) above the ``top_t_det_rule`` anchor on prefixes."""
-    anchor = int(np.argmax(top_t_det_rule(p, base_rule=reference_restricted_veto).prob))
+    """Rows of 1/(2 H_t * rank) above the ``reference_top_t_det_rule`` anchor on prefixes."""
+    anchor = int(np.argmax(reference_top_t_det_rule(p).prob))
     h_t = harmonic_number(p.t)
     rows = np.zeros((p.n, p.m))
     for i, pre in enumerate(p.prefixes):

@@ -24,6 +24,7 @@ import pytest
 import distortion_lab as dl
 import invariant_checks
 import paper_claims
+from certificates import assert_certified
 from distortion_lab.oracles import _oracle
 from paper_claims import check_upper_bounds, checked_by
 
@@ -54,7 +55,9 @@ def test_criterion_01_lp_and_bruteforce_utilitarian_oracles_agree():
         for _ in range(5):
             w = rng.random(m) + 1e-3
             lot = dl.Lottery(w / w.sum())
-            via_lp = dl.utilitarian_distortion(lot, p).value
+            report = dl.utilitarian_distortion(lot, p)
+            assert_certified(lot, p, report, (j, checked))
+            via_lp = report.value
             via_enum = dl.utilitarian_distortion_bruteforce(lot, p).value
             assert via_lp.is_unbounded == via_enum.is_unbounded
             if not via_lp.is_unbounded:

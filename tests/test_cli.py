@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import distortion_lab as dl
+from certificates import assert_certified
 from distortion_lab import cli
 from paper_claims import checked_by
 
@@ -236,6 +237,23 @@ class TestOracle:
         assert payload["value"] == "unbounded"
         assert payload["arg_optimum"] == 0
         assert payload["witness"] is not None
+
+    @pytest.mark.parametrize("world", ["metric", "utilitarian"])
+    def test_witness_round_trip(self, inst, tmp_path, world):
+        # The printed witness, written to a file, loads back and certifies
+        # the printed value.
+        code, out, _ = run_cli(
+            ["oracle", "--world", world, "--rule", "truncated_harmonic", "--instance", str(inst)]
+        )
+        assert code == 0
+        payload = json.loads(out)
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(payload["witness"]))
+        p = dl.load_instance(inst)
+        witness = dl.load_metric(path, p.n, p.m) if world == "metric" else dl.load_utilities(path)
+        value = dl.DistortionValue.finite(payload["value"])
+        report = dl.DistortionReport(value, witness, payload["arg_optimum"])
+        assert_certified(dl.truncated_harmonic(p), p, report)
 
     def test_bruteforce_agreement_path(self, inst):
         code, out, err = run_cli(

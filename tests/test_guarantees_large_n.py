@@ -24,6 +24,7 @@ and each report is checked against its own witness.
 
 from __future__ import annotations
 
+from certificates import assert_certified
 from paper_claims import check_upper_bounds, checked_by
 
 import distortion_lab as dl
@@ -80,7 +81,9 @@ def test_thm53_metric_lower_bounds_at_large_n(acceptance_notes):
         p, metric = dl.thm53_instance(n, 9, 1, 2.0)
         for rule, lottery in TOPT_RULES.items():
             lot = lottery(p)
-            value = dl.metric_distortion(lot, p).value
+            report = dl.metric_distortion(lot, p)
+            assert_certified(lot, p, report, (n, rule))
+            value = report.value
             own = dl.eval_distortion(lot, metric)
             assert not value.is_unbounded and not own.is_unbounded, (n, rule)
             assert value.value >= own.value - dl.RATIO_TOL, (n, rule)
@@ -100,7 +103,6 @@ def test_thm51_top_t_rules_at_large_n(acceptance_notes):
                 oracle = dl.metric_distortion if world == "metric" else dl.utilitarian_distortion
                 report = oracle(lot, p)
                 assert not report.value.is_unbounded, (n, m, t, rule, world)
-                evaluated = dl.eval_distortion(lot, report.witness)
-                assert abs(evaluated.value - report.value.value) <= 1e-5, (n, m, t, rule, world)
+                assert_certified(lot, p, report, (n, m, t, rule, world))
                 notes.append(f"{rule} {world}@({n},{m},{t}) {report.value.value:.4f}")
     acceptance_notes.append("thm51 top-t worst cases (reported, no bound): " + ", ".join(notes))

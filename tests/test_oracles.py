@@ -12,21 +12,17 @@ import pytest
 import distortion_lab as dl
 import distortion_lab.lp as lp_mod
 import distortion_lab.oracles as oracles_mod
+from certificates import assert_certified
 from conftest import random_lottery
+from cross_checks import _three_route_cases, compare
 from distortion_lab.cli import RULES, make_rule
 from paper_claims import checked_by
 from reference_oracles import (
-    reference_completion_max,
     reference_exhaustive_worst_case,
     reference_metric_dual_cold,
-    reference_metric_per_agent,
-    reference_metric_primal,
-    reference_metric_report,
     reference_metric_rows,
     reference_utilitarian_dinkelbach,
-    reference_utilitarian_lp,
     reference_utilitarian_per_candidate,
-    reference_utilitarian_report,
 )
 from distortion_lab import (
     BudgetExceededError,
@@ -68,8 +64,7 @@ class TestUtilitarianOracle:
         assert rep.value.is_unbounded
         assert rep.arg_optimum == 0
         assert np.allclose(rep.witness.util, [[1, 0, 0, 0], [0.5, 0.5, 0, 0]])
-        assert dl.is_utility_consistent(rep.witness, p)
-        assert dl.eval_distortion(lot, rep.witness).is_unbounded
+        assert_certified(lot, p, rep)
 
     def test_unbounded_witness_prefix_without_support(self):
         # Agent 0 ranks no support alternative: its prefix and the unranked
@@ -80,8 +75,7 @@ class TestUtilitarianOracle:
         assert rep.value.is_unbounded
         assert rep.arg_optimum == 0
         assert np.allclose(rep.witness.util, [[1 / 3, 1 / 3, 0, 1 / 3], [0, 0, 0, 1]])
-        assert dl.is_utility_consistent(rep.witness, p)
-        assert dl.eval_distortion(lot, rep.witness).is_unbounded
+        assert_certified(lot, p, rep)
 
     def test_support_on_a_top_choice_is_bounded(self):
         p = Profile(m=3, rankings=((0, 1, 2), (2, 1, 0)))
@@ -150,8 +144,7 @@ class TestMetricOracle:
         assert rep.value.is_unbounded
         assert rep.arg_optimum == 0
         assert np.allclose(rep.witness.agent_alt, [[0, 1, 0], [0, 1, 0]])
-        assert dl.is_metric_consistent(rep.witness, p)
-        assert dl.eval_distortion(lot, rep.witness).is_unbounded
+        assert_certified(lot, p, rep)
 
     def test_unbounded_witness_on_prefix(self):
         p = TopTProfile(m=3, t=1, prefixes=((0,), (1,)))
@@ -159,8 +152,7 @@ class TestMetricOracle:
         rep = metric_distortion(lot, p)
         assert rep.value.is_unbounded
         assert rep.arg_optimum == 0
-        assert dl.is_metric_consistent(rep.witness, p)
-        assert dl.eval_distortion(lot, rep.witness).is_unbounded
+        assert_certified(lot, p, rep)
 
     # Two agents who put 2 last; the lottery puts eps on it. n * eps above
     # the 1e-12 lottery tolerance is unbounded, as eval_distortion rules on
@@ -172,132 +164,19 @@ class TestMetricOracle:
         rep = metric_distortion(lot, p)
         assert rep.value.is_unbounded
         assert rep.arg_optimum == 0
-        assert dl.is_metric_consistent(rep.witness, p)
-        assert dl.eval_distortion(lot, rep.witness).is_unbounded
+        assert_certified(lot, p, rep)
 
     def test_mass_below_lottery_tolerance_is_finite(self):
         p = Profile(m=3, rankings=((0, 1, 2), (1, 0, 2)))
         lot = Lottery(np.array([0.5, 0.5 - 1e-13, 1e-13]))
         rep = metric_distortion(lot, p)
         assert rep.value.value == pytest.approx(2.0)
-        assert dl.is_metric_consistent(rep.witness, p)
+        assert_certified(lot, p, rep)
         assert dl.eval_distortion(lot, rep.witness).value == pytest.approx(2.0)
 
     def test_witness_is_consistent(self):
-        rep = metric_distortion(Lottery.point_mass(2, 0), AB_BA)
-        assert dl.is_metric_consistent(rep.witness, AB_BA)
-
-
-def _reference_cases(count: int):
-    """Seeded small cases: n <= 5, m <= 4, a third top-t, varied lotteries."""
-    for case in range(count):
-        rng = np.random.default_rng(41_000 + case)
-        n, m = int(rng.integers(1, 6)), int(rng.integers(2, 5))
-        p = dl.random_profile(n, m, seed=41_000 + case)
-        if case % 3 == 0:
-            p = dl.truncate_profile(p, int(rng.integers(1, m)))
-        if case % 5 == 0:
-            lot = Lottery.point_mass(m, int(rng.integers(m)))
-        elif case % 5 == 1:
-            lot = dl.random_dictatorship(p)
-        else:
-            lot = random_lottery(rng, m)  # about 30% zero-mass entries
-        yield case, lot, p
-
-
-class TestReferenceCrossCheck:
-    """The compact program and closure tests against the replaced LPs."""
-
-    @pytest.mark.parametrize(
-        "oracle, reference",
-        [
-            (metric_distortion, reference_metric_report),
-            (utilitarian_distortion, reference_utilitarian_report),
-        ],
-        ids=["metric", "utilitarian"],
-    )
-    def test_matches_reference(self, oracle, reference):
-        mismatches = []
-        for case, lot, p in _reference_cases(300):
-            got = oracle(lot, p)
-            want = reference(lot, p)
-            same = (
-                got.value.is_unbounded == want.value.is_unbounded
-                and got.arg_optimum == want.arg_optimum
-                and (
-                    got.value.is_unbounded
-                    or abs(got.value.value - want.value.value) <= 1e-6
-                )
-            )
-            if not same:
-                mismatches.append((case, got.value, want.value, got.arg_optimum, want.arg_optimum))
-        assert mismatches == []
-
-
-def _three_route_cases(count: int, seed: int = 47_000, n_max: int = 5):
-    """Seeded cases: n <= n_max, m <= 5, a third top-t, cubed weights.
-
-    About 30% of the weights are zero. Every other lottery then gets one
-    mass between 1e-10 and 1e-7, half of the time on agent 0's top choice.
-    """
-    for case in range(count):
-        rng = np.random.default_rng(seed + case)
-        n, m = int(rng.integers(1, n_max + 1)), int(rng.integers(2, 6))
-        p = dl.random_profile(n, m, seed=seed + case)
-        top = p.rankings[0][0]
-        if case % 3 == 0:
-            p = dl.truncate_profile(p, int(rng.integers(1, m)))
-        w = rng.random(m) ** 3
-        w[rng.random(m) < 0.3] = 0.0
-        if case % 2 == 0:
-            tiny = top if case % 4 == 0 else int(rng.integers(m))
-            w[tiny] = 0.0
-            if not w.any():
-                w[(tiny + 1) % m] = 1.0
-            mass = 10.0 ** rng.uniform(-10.0, -7.0)
-            w *= (1.0 - mass) / w.sum()
-            w[tiny] = mass
-        elif not w.any():
-            w[int(rng.integers(m))] = 1.0
-        yield case, Lottery(w / w.sum()), p
-
-
-class TestThreeRouteCrossCheck:
-    """The vertex-choice oracle against the LP reference and brute force."""
-
-    def test_matches_lp_and_bruteforce(self, acceptance_notes):
-        count, lp_raised, mismatches = 360, [], []
-        for case, lot, p in _three_route_cases(count):
-            got = utilitarian_distortion(lot, p)
-            assert dl.is_utility_consistent(got.witness, p), case
-            evaluated = dl.eval_distortion(lot, got.witness)
-            assert evaluated.is_unbounded == got.value.is_unbounded, case
-            if got.value.is_finite:
-                assert abs(evaluated.value - got.value.value) <= 1e-5, case
-            wants = []
-            try:
-                wants.append(("lp", reference_utilitarian_lp(lot, p)))
-            except RuntimeError:
-                lp_raised.append(case)
-            if isinstance(p, Profile):
-                wants.append(("bruteforce", utilitarian_distortion_bruteforce(lot, p)))
-            for route, want in wants:
-                # Values reach 1e10 on tiny masses, so the tolerance is
-                # relative above 1.
-                same = got.value.is_unbounded == want.value.is_unbounded and (
-                    got.value.is_unbounded
-                    or abs(got.value.value - want.value.value)
-                    <= 1e-6 * max(1.0, want.value.value)
-                )
-                if not same:
-                    mismatches.append((case, route, got.value, want.value))
-        assert mismatches == []
-        # The LP reference must still cover most cases for the check to count.
-        assert len(lp_raised) < count // 10
-        acceptance_notes.append(
-            f"utilitarian three-route cross-check: {count} cases, 0 mismatches; "
-            f"the LP reference raised on {len(lp_raised)} (cases {lp_raised})"
-        )
+        lot = Lottery.point_mass(2, 0)
+        assert_certified(lot, AB_BA, metric_distortion(lot, AB_BA))
 
 
 def _dinkelbach_cases(count: int):
@@ -341,16 +220,13 @@ class TestDinkelbachCrossCheck:
         for case, lot, p in _dinkelbach_cases(count):
             shapes.add((p.m, getattr(p, "t", None)))
             got = utilitarian_distortion(lot, p)
+            assert_certified(lot, p, got, case)
             steps: list[int] = []
             for name, want in (
                 ("per-candidate", reference_utilitarian_per_candidate(lot, p, steps)),
                 ("per-agent", reference_utilitarian_dinkelbach(lot, p)),
             ):
-                if not (
-                    got.value == want.value
-                    and got.arg_optimum == want.arg_optimum
-                    and got.witness.util.tobytes() == want.witness.util.tobytes()
-                ):
+                if not compare("bits", got, want)[0]:
                     mismatches.append((name, case, p.n, p.m, got.value, want.value))
             # Candidates that finish after different numbers of steps leave
             # the lockstep's live set in different rounds.
@@ -365,38 +241,6 @@ class TestDinkelbachCrossCheck:
             f"utilitarian lockstep Dinkelbach vs per-candidate and per-agent loops: "
             f"{count} cases, {len(mismatches)} mismatches (value, arg_optimum and "
             f"witness bytes); {uneven} cases with candidates finishing in different rounds"
-        )
-
-
-class TestDualCrossCheck:
-    """The dual metric program against the primal it replaced."""
-
-    def test_matches_primal(self, acceptance_notes):
-        count, finite, mismatches = 330, 0, []
-        for case, lot, p in _three_route_cases(count, seed=53_000, n_max=6):
-            got = metric_distortion(lot, p)
-            assert dl.is_metric_consistent(got.witness, p), case
-            evaluated = dl.eval_distortion(lot, got.witness)
-            assert evaluated.is_unbounded == got.value.is_unbounded, case
-            if got.value.is_finite:
-                finite += 1
-                assert abs(evaluated.value - got.value.value) <= 1e-5, case
-            want = reference_metric_primal(lot, p)
-            same = got.value.is_unbounded == want.value.is_unbounded
-            if same and got.value.is_unbounded:
-                same = got.arg_optimum == want.arg_optimum
-            elif same:
-                gap = abs(got.value.value - want.value.value) / want.value.value
-                # Another optimum may win only if its value ties the best.
-                same = gap <= 1e-6 and (got.arg_optimum == want.arg_optimum or gap <= 1e-9)
-            if not same:
-                mismatches.append((case, got.value, want.value, got.arg_optimum, want.arg_optimum))
-        assert mismatches == []
-        # Most cases must reach the programs for the check to count.
-        assert finite >= count // 2
-        acceptance_notes.append(
-            f"metric dual/primal cross-check: {count} cases ({finite} finite), "
-            f"{len(mismatches)} mismatches"
         )
 
 
@@ -465,9 +309,7 @@ class TestWarmChainCrossCheck:
             log.clear()
             want = reference_metric_dual_cold(lot, p)
             cold = [out.value for _, _, out in log]
-            assert dl.is_metric_consistent(got.witness, p), case
-            evaluated = dl.eval_distortion(lot, got.witness)
-            assert evaluated.is_unbounded == got.value.is_unbounded, case
+            assert_certified(lot, p, got, case)
             if got.value.is_unbounded != want.value.is_unbounded:
                 mismatches.append((case, got.value, want.value))
                 continue
@@ -475,7 +317,6 @@ class TestWarmChainCrossCheck:
                 assert chain == [] and got.arg_optimum == want.arg_optimum, case
                 continue
             finite += 1
-            assert abs(evaluated.value - got.value.value) <= 1e-5, case
             # Candidate 0 is solved cold, and to the bit as a cold solve.
             assert [warm for _, warm, _ in chain] == [False] + [True] * (p.m - 1), case
             program, _, first = chain[0]
@@ -525,105 +366,7 @@ class TestWarmChainCrossCheck:
             want = metric_distortion(lot, p)
             assert abs(got.value.value - want.value.value) <= dl.RATIO_TOL, rid
             assert got.arg_optimum == want.arg_optimum, rid
-            assert dl.is_metric_consistent(got.witness, p), rid
-            assert abs(dl.eval_distortion(lot, got.witness).value - got.value.value) <= 1e-5, rid
-
-
-def _sampled_ballots(rng: np.random.Generator, m: int, t: int, count: int) -> list:
-    """``count`` distinct top-t ballots (full rankings at t = m), drawn at random."""
-    ballots = list(itertools.permutations(range(m), t))
-    return [ballots[j] for j in rng.choice(len(ballots), count, replace=False)]
-
-
-def _seeded_lottery(rng: np.random.Generator, case: int, p) -> Lottery:
-    """The truncated harmonic lottery of the ballot kind, random dictatorship
-    or a random lottery with about 30% zero-mass entries, by case."""
-    if case % 3 == 0:
-        full = isinstance(p, Profile)
-        return dl.truncated_harmonic(p) if full else dl.top_t_truncated_harmonic(p)
-    return dl.random_dictatorship(p) if case % 3 == 1 else random_lottery(rng, p.m)
-
-
-def _distinct_ballot_cases(count: int):
-    """Seeded profiles whose ballots are all distinct: n <= 6, m in 3..5, a
-    third top-t."""
-    for case in range(count):
-        rng = np.random.default_rng(83_000 + case)
-        m = int(rng.integers(3, 6))
-        t = int(rng.integers(1, m)) if case % 3 == 2 else m
-        n = int(rng.integers(2, min(6, math.perm(m, t)) + 1))
-        ballots = _sampled_ballots(rng, m, t, n)
-        p = Profile(m, ballots) if t == m else TopTProfile(m, t, ballots)
-        yield case, _seeded_lottery(rng, case, p), p
-
-
-def _pooled_ballot_cases(count: int):
-    """Seeded profiles that repeat ballots: k = 1..3 distinct ballots cast by
-    n in k+1..9 agents, m <= 4, every other profile top-t."""
-    for case in range(count):
-        rng = np.random.default_rng(89_000 + case)
-        m = int(rng.integers(2, 5))
-        t = int(rng.integers(1, m)) if case % 2 else m
-        pool = _sampled_ballots(rng, m, t, min(1 + case % 3, math.perm(m, t)))
-        n = int(rng.integers(len(pool) + 1, 10))
-        ballots = pool + [pool[j] for j in rng.integers(len(pool), size=n - len(pool))]
-        ballots = [ballots[j] for j in rng.permutation(n)]
-        p = Profile(m, ballots) if t == m else TopTProfile(m, t, ballots)
-        yield case, _seeded_lottery(rng, case, p), p
-
-
-class TestPerAgentCrossCheck:
-    """One block per distinct ballot against one block per agent."""
-
-    def test_distinct_ballots_match_bit_for_bit(self, acceptance_notes):
-        count, finite, mismatches = 240, 0, []
-        for case, lot, p in _distinct_ballot_cases(count):
-            assert len(set(p.ballots)) == p.n, case
-            got = metric_distortion(lot, p)
-            want = reference_metric_per_agent(lot, p)
-            finite += got.value.is_finite
-            if not (
-                got.value == want.value
-                and got.arg_optimum == want.arg_optimum
-                and got.witness.dist.tobytes() == want.witness.dist.tobytes()
-            ):
-                mismatches.append((case, got.value, want.value))
-        assert mismatches == []
-        assert finite >= count // 2
-        acceptance_notes.append(
-            f"metric blocks per distinct ballot vs per agent, all ballots distinct: "
-            f"{count} cases ({finite} finite), {len(mismatches)} mismatches "
-            "(value, arg_optimum and witness bytes)"
-        )
-
-    def test_pooled_ballots_match(self, acceptance_notes):
-        count, finite, worst, mismatches = 240, 0, 0.0, []
-        for case, lot, p in _pooled_ballot_cases(count):
-            assert len(set(p.ballots)) < p.n, case
-            got = metric_distortion(lot, p)
-            assert dl.is_metric_consistent(got.witness, p), case
-            evaluated = dl.eval_distortion(lot, got.witness)
-            assert evaluated.is_unbounded == got.value.is_unbounded, case
-            want = reference_metric_per_agent(lot, p)
-            same = got.value.is_unbounded == want.value.is_unbounded
-            if same and got.value.is_unbounded:
-                same = got.arg_optimum == want.arg_optimum
-            elif same:
-                finite += 1
-                assert abs(evaluated.value - got.value.value) <= 1e-5, case
-                gap = abs(got.value.value - want.value.value) / want.value.value
-                worst = max(worst, gap)
-                # As in the dual/primal cross-check: another optimum may win
-                # only if its value ties the best.
-                same = gap <= 1e-6 and (got.arg_optimum == want.arg_optimum or gap <= 1e-9)
-            if not same:
-                mismatches.append((case, got.value, want.value, got.arg_optimum, want.arg_optimum))
-        assert mismatches == []
-        assert finite >= count // 2
-        acceptance_notes.append(
-            f"metric blocks per distinct ballot vs per agent, repeated ballots: "
-            f"{count} cases ({finite} finite), worst relative gap {worst:.1e}"
-        )
+            assert_certified(lot, p, got, rid)
 
 
 class TestMetricProgramShape:
@@ -686,53 +429,6 @@ class TestMetricProgramShape:
             assert prog.n_vars == k * per_ballot + 1
 
 
-def _completion_cases(count: int, max_completions: int = 16):
-    """Seeded top-t cases: n <= 4, m <= 5, 1 <= t < m, varied lotteries.
-
-    t is drawn among the values below m-1 that leave at most
-    ``max_completions`` completions, (m-t)!^n; t = m-1, a single completion,
-    only when no such value exists.
-    """
-    for case in range(count):
-        rng = np.random.default_rng(43_000 + case)
-        n, m = int(rng.integers(1, 5)), int(rng.integers(2, 6))
-        ts = [
-            t for t in range(1, m - 1) if math.factorial(m - t) ** n <= max_completions
-        ] or [m - 1]
-        p = dl.truncate_profile(
-            dl.random_profile(n, m, seed=43_000 + case), int(rng.choice(ts))
-        )
-        if case % 3 == 0:
-            lot = Lottery.point_mass(m, int(rng.integers(m)))
-        elif case % 3 == 1:
-            lot = dl.random_dictatorship(p)
-        else:
-            lot = random_lottery(rng, m)  # about 30% zero-mass entries
-        yield case, lot, p
-
-
-class TestCompletionCrossCheck:
-    """The single prefix program against the maximum over all completions."""
-
-    @pytest.mark.parametrize(
-        "oracle", [metric_distortion, utilitarian_distortion], ids=["metric", "utilitarian"]
-    )
-    def test_matches_completion_max(self, oracle):
-        # arg_optimum is not compared: on ties the two routes may report
-        # different optimal alternatives.
-        mismatches = []
-        for case, lot, p in _completion_cases(300):
-            got = oracle(lot, p)
-            want = reference_completion_max(oracle, lot, p)
-            same = got.value.is_unbounded == want.value.is_unbounded and (
-                got.value.is_unbounded
-                or abs(got.value.value - want.value.value) <= 1e-6
-            )
-            if not same:
-                mismatches.append((case, got.value, want.value))
-        assert mismatches == []
-
-
 class TestRuleDistortion:
     def test_plurality_veto_p2(self, request):
         (row,) = checked_by(request)
@@ -786,8 +482,7 @@ class TestTopTOracles:
     def test_prefix_witness_consistent(self):
         topt = dl.truncate_profile(dl.random_profile(3, 4, seed=7), 2)
         lot = dl.top_t_truncated_harmonic(topt)
-        rep = metric_distortion(lot, topt)
-        assert dl.is_metric_consistent(rep.witness, topt)
+        assert_certified(lot, topt, metric_distortion(lot, topt))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -897,9 +592,12 @@ class TestExhaustiveOrbitCrossCheck:
             assert repr(got_value) == repr(want_value), cell
             assert type(got_witness) is type(want_witness), cell
             assert got_witness.ballots == want_witness.ballots, cell
+            report = rule_distortion(rule, got_witness, world)
+            assert repr(report.value) == repr(got_value), cell
+            assert_certified(rule(got_witness), got_witness, report, cell)
         acceptance_notes.append(
             f"exhaustive orbit reuse vs plain scan ({world}): {len(self.CELLS)} tables, "
-            "values and witness ballots identical"
+            "values and witness ballots identical, each value certified on its witness profile"
         )
 
     @pytest.fixture
@@ -979,9 +677,12 @@ class TestNeutralityLemma:
             pi = tuple(int(x) for x in rng.permutation(m))
             renamed_prob = np.empty(m)
             renamed_prob[list(pi)] = lot.prob
+            renamed_lot, renamed = Lottery(renamed_prob), _renamed(p, pi, rng.permutation(n))
             candidate_values.clear()
             want = oracle(lot, p)
-            got = oracle(Lottery(renamed_prob), _renamed(p, pi, rng.permutation(n)))
+            got = oracle(renamed_lot, renamed)
+            assert_certified(lot, p, want, case)
+            assert_certified(renamed_lot, renamed, got, case)
             assert got.value.is_unbounded == want.value.is_unbounded, case
             if want.value.is_unbounded:
                 continue

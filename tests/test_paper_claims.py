@@ -1,21 +1,11 @@
 """The claims table is well formed, the README lists it, and its tests exist."""
 
 import importlib
-import pathlib
 
+from conftest import readme_section
 from paper_claims import CLAIMS
 
 from distortion_lab import cli
-
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-
-
-def readme_section(title: str) -> list[str]:
-    """The lines of the README's ``## title`` section."""
-    lines = README.read_text().splitlines()
-    start = lines.index(f"## {title}") + 1
-    end = next((k for k in range(start, len(lines)) if lines[k].startswith("## ")), len(lines))
-    return lines[start:end]
 
 
 def test_rows_are_well_formed():

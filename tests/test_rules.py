@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import distortion_lab as dl
+from distortion_lab import rules
 from distortion_lab.rules import _restricted_plurality_veto
 from reference_oracles import (
     reference_copeland,
     reference_plurality_veto,
     reference_pruned_plurality_veto,
     reference_restricted_veto,
+    reference_top_t_det_rule,
     reference_top_t_truncated_harmonic,
     reference_truncated_harmonic,
     reference_truncated_weights,
@@ -242,7 +244,7 @@ class TestTopTDetRule:
         assert _point(top_t_det_rule(p)) == 0
 
     def test_base_rule_branch(self):
-        # All four alternatives clear n/(2m); the default base rule runs on
+        # All four alternatives clear n/(2m); the veto phase runs on
         # the restriction and picks the recipient of the final veto.
         prefixes = tuple(
             [(0, 1, 2)] * 2 + [(1, 0, 2)] * 2 + [(2, 0, 1)] * 2 + [(3, 0, 1)] * 2
@@ -256,9 +258,11 @@ class TestTopTTruncatedHarmonic:
         p = TopTProfile(m=3, t=2, prefixes=((0, 1),))
         assert np.allclose(top_t_truncated_harmonic(p).prob, [1.0, 0.0, 0.0])
 
-    def test_forced_anchor_arithmetic(self):
+    def test_forced_anchor_arithmetic(self, monkeypatch):
+        # The anchor forced to 1: the agent ranks 0 above it.
+        monkeypatch.setattr(rules, "top_t_det_rule", lambda q: Lottery.point_mass(q.m, 1))
         p = TopTProfile(m=3, t=2, prefixes=((0, 1),))
-        lot = top_t_truncated_harmonic(p, anchor_rule=lambda q: 1)
+        lot = top_t_truncated_harmonic(p)
         assert np.allclose(lot.prob, [1 / 3, 2 / 3, 0.0])
 
     def test_anchor_keeps_half(self):
@@ -356,7 +360,7 @@ class TestReferenceCrossCheck:
                 prefixes, m
             ), seed
 
-    def test_top_t_det_rule_base_branch(self):
+    def test_top_t_det_rule_base_branch(self, monkeypatch):
         runs = []
 
         def counted(prefixes, m_sub):
@@ -366,10 +370,11 @@ class TestReferenceCrossCheck:
         for seed in range(self.CASES):
             p = self._top_t(seed, long=True)
             assert 2 * p.t > p.m
-            got = top_t_det_rule(p, base_rule=counted).prob
+            with monkeypatch.context() as patch:
+                patch.setattr(rules, "_restricted_plurality_veto", counted)
+                got = top_t_det_rule(p).prob
             assert np.array_equal(got, top_t_det_rule(p).prob), seed
-            ref = top_t_det_rule(p, base_rule=reference_restricted_veto).prob
-            assert np.array_equal(got, ref), seed
+            assert np.array_equal(got, reference_top_t_det_rule(p).prob), seed
         assert len(runs) >= self.CASES // 3
 
     def test_truncated_weights_and_harmonic(self):
