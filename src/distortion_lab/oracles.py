@@ -14,7 +14,7 @@ or unbounded, comes with a concrete witness instance.
   ascending order, n times the lottery mass outside Z(X*) exceeds 1e-12
   (the rule by which ``eval_distortion`` calls a zero-cost optimum
   unbounded). The witness puts every agent at distance 0 from Z(X*) and 1
-  from everything else. Otherwise one program per X* maximizes the
+  from everything else. Otherwise a program per X* maximizes the
   expected cost with the cost of X* normalized to one:
   max c.y s.t. A y <= 0, a_X*.y = 1, y >= 0. The program has one block
   per distinct ballot b, not per agent: swapping two agents who cast the
@@ -37,22 +37,40 @@ or unbounded, comes with a concrete witness instance.
   shortest-path closure provides the extension, and is what witness
   construction uses). When every ballot is distinct, w is all ones and
   the program is the per-agent one, array for array. Once the closure
-  test has passed, the program is bounded, and its value is at least 1
-  (all distances equal). The oracle solves its dual,
+  test has passed, the program is bounded, and its value V_X* is at least
+  1 (all distances equal). The oracle solves its dual,
   min lambda s.t. A^T mu + a_X* lambda >= c, mu, lambda >= 0, which has
   one row per variable y (km + m(m-1)/2) instead of one per row of A;
   bounding lambda by 0 loses nothing because the primal value is
-  positive. The m dual programs differ only in lambda's column a_X*, so
+  positive. The dual programs differ only in lambda's column a_X*, so
   they are warm-started: X* = 0 from the all-artificial basis, each later
-  X* from X* = 0's optimal basis (``lp.solve``'s ``start``). The row
-  duals of the winning dual are an optimal y. They
+  X* from X* = 0's optimal basis (``lp.solve``'s ``start``).
+
+  A candidate is not solved at all when a pairwise bound rules it out
+  (Anshelevich, Bhardwaj, Elkind, Postl and Skowron, AIJ 2018). If s > 0
+  agents rank Y above X (an unranked alternative ranks below every ranked
+  one), those agents have d(i,Y) <= d(i,X), so d(X,Y) <= 2 d(i,X) and
+  s d(X,Y) <= 2 SC(X); every other agent has d(i,Y) <= d(i,X) + d(X,Y).
+  So SC(Y) <= SC(X) + (n-s) d(X,Y) <= r(Y,X) SC(X) with
+  r(Y,X) = 1 + 2(n-s)/s, and V_X <= B_X = sum_Y q_Y r(Y,X), where
+  r(X,X) = 1, r = inf when s = 0 and a term with q_Y = 0 counts as 0.
+  Candidate 0 is always solved; each later X* is skipped when
+  B_X* <= best - 1e-9 max(1, |best|), best being the largest dual value so
+  far under ``_first_max``'s rule. The margin exceeds the solver's value
+  error, so a skipped candidate's dual value could never have replaced
+  the best, and since every warm start is candidate 0's outcome, no other
+  solve changes: the value, ``arg_optimum`` and witness are those of
+  solving every candidate, to the bit.
+
+  The row duals of the winning dual are an optimal y. They
   are checked against the primal (y >= 0, A y <= 0, a_X*.y = 1, c.y equal
   to the dual value), expanded to the n x m grid in which every agent
   takes its ballot's row, and then closed into the witness. The answer is
   certified from both sides whatever basis each solve started from: every
-  candidate's (mu, lambda) passes the solver's feasibility check, so by
-  weak duality lambda_X >= V_X, and the winner's y is primal feasible with
-  c.y = lambda_win, so V_win >= lambda_win. The largest lambda is
+  solved candidate's (mu, lambda) passes the solver's feasibility check, so
+  by weak duality lambda_X >= V_X; a skipped candidate has
+  V_X <= B_X < best <= lambda_win; and the winner's y is primal feasible
+  with c.y = lambda_win, so V_win >= lambda_win. The largest lambda is
   therefore the largest V_X.
 
 * Utilitarian world. The distortion is unbounded iff no agent's top choice
@@ -130,6 +148,9 @@ from .core import (
 from .instances import _metric_json, _utilities_json
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
+# A metric candidate whose bound B_X is this far (relative) below the best
+# dual value so far is not solved: more than the solver's value error.
+SKIP_MARGIN = 1e-9
 
 __all__ = [
     "DistortionReport",
@@ -154,12 +175,18 @@ class CertificateError(RuntimeError):
 T = TypeVar("T")
 
 
+def _replaces(value: float, best: float) -> bool:
+    """Whether ``value`` replaces ``best`` in a first-maximum scan: it must
+    exceed it by more than 1e-12 * max(1, |best|)."""
+    return value > best + 1e-12 * max(1.0, abs(best))
+
+
 def _first_max(candidates: Iterable[tuple[float, T]]) -> tuple[float, T]:
-    """The first (value, item) pair: a later value replaces the best only if it
-    exceeds it by more than 1e-12 * max(1, |best|). Stops at an infinite value."""
+    """The first (value, item) pair: a later value replaces the best only if
+    ``_replaces`` says so. Stops at an infinite value."""
     best: tuple[float, T] | None = None
     for value, item in candidates:
-        if best is None or value > best[0] + 1e-12 * max(1.0, abs(best[0])):
+        if best is None or _replaces(value, best[0]):
             best = (value, item)
             if math.isinf(value):
                 break
@@ -296,6 +323,22 @@ def _metric_unbounded(
     return None
 
 
+def _candidate_bounds(lot: Lottery, p: Profile | TopTProfile) -> np.ndarray:
+    """B_X = sum_Y q_Y r(Y, X) >= V_X for every candidate X (module docstring).
+
+    r(X, X) = 1 and r(Y, X) = 1 + 2(n - s)/s, where s agents rank Y above X
+    (an unranked alternative has rank m), and r = inf when s = 0; a term
+    with q_Y = 0 counts as 0.
+    """
+    pos = p.positions
+    s = (pos[:, :, None] < pos[:, None, :]).sum(axis=0)  # s[Y, X]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = 1.0 + 2.0 * (p.n - s) / s
+    np.fill_diagonal(ratio, 1.0)
+    support = lot.prob > 0.0
+    return lot.prob[support] @ ratio[support]
+
+
 def metric_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
     """Worst-case metric distortion of ``lot`` on profile ``p``: the worst
     case over pseudometrics consistent with the given ballots.
@@ -313,12 +356,15 @@ def metric_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionRepor
     candidate 0's outcome as ``start``, since only lambda's column changes.
     Starting from the previous candidate instead would carry the rounding
     of every warm solve down the chain, which on ``thm53_instance`` grows
-    the tableau until the solve fails. Each solve's (mu, lambda) passes
-    the solver's feasibility check, so lambda_X bounds the primal value
-    V_X from above; the winning y is checked against the primal, so
-    c.y = lambda_win bounds V_win from below; together they certify the
-    reported maximum. Only then is y expanded, every agent taking its
-    ballot's row, and closed into the witness.
+    the tableau until the solve fails. A later candidate whose pairwise
+    bound B_X* (``_candidate_bounds``) is at least ``SKIP_MARGIN`` below
+    the best dual value so far is skipped: V_X* <= B_X*, so it could not
+    replace the best. Each solve's (mu, lambda) passes the solver's
+    feasibility check, so lambda_X bounds the primal value V_X from above,
+    as B_X does for a skipped X; the winning y is checked against the
+    primal, so c.y = lambda_win bounds V_win from below; together they
+    certify the reported maximum. Only then is y expanded, every agent
+    taking its ballot's row, and closed into the witness.
     """
     _check_dims(lot, p)
     # Each agent's block, numbered in order of first occurrence; then each
@@ -342,10 +388,14 @@ def metric_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionRepor
     objective = np.zeros(lhs.shape[1])
     objective[-1] = 1.0
     rel = (">=",) * nv
+    bound = _candidate_bounds(lot, p)
 
     def candidates() -> Iterator[tuple[float, tuple[int, lp.LPOutcome]]]:
-        first = None
+        first, best = None, math.nan
         for x_star in range(m):
+            # V_X* <= B_X*, so this candidate cannot replace the best.
+            if first is not None and bound[x_star] <= best - SKIP_MARGIN * max(1.0, abs(best)):
+                continue
             a = lhs.copy()
             a[x_star:km:m, -1] = w
             program = lp.LinearProgram(
@@ -362,6 +412,8 @@ def metric_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionRepor
                     "primal is unbounded or infeasible after the closure test found "
                     "the distortion bounded"
                 )
+            if dual is first or _replaces(dual.value, best):
+                best = dual.value
             yield dual.value, (x_star, dual)
 
     best_value, (best_x, dual) = _first_max(candidates())

@@ -18,6 +18,7 @@ from certificates import assert_certified
 from conftest import random_lottery
 from reference_oracles import (
     reference_completion_max,
+    reference_metric_all_candidates,
     reference_metric_per_agent,
     reference_metric_primal,
     reference_metric_report,
@@ -120,6 +121,28 @@ def _pooled_ballot_cases(count: int):
         yield case, _seeded_lottery(rng, case, p), p
 
 
+def _repeated_ballot_cases(count: int):
+    """Seeded profiles that repeat ballots, every other one top-t: k = 1..4
+    distinct ballots cast by n in k+1..12 agents, m in 2..5. Every fourth
+    lottery is a point mass, on the first ballot's top choice or on a random
+    alternative in turn; the others are as ``_seeded_lottery``."""
+    for case in range(count):
+        rng = np.random.default_rng(97_000 + case)
+        m = int(rng.integers(2, 6))
+        t = int(rng.integers(1, m)) if case % 2 else m
+        pool = _sampled_ballots(rng, m, t, min(1 + case % 4, math.perm(m, t)))
+        n = int(rng.integers(len(pool) + 1, 13))
+        ballots = pool + [pool[j] for j in rng.integers(len(pool), size=n - len(pool))]
+        ballots = [ballots[j] for j in rng.permutation(n)]
+        p = Profile(m, ballots) if t == m else TopTProfile(m, t, ballots)
+        if case % 4 == 0:
+            winner = ballots[0][0] if case % 8 == 0 else int(rng.integers(m))
+            lot = Lottery.point_mass(m, winner)
+        else:
+            lot = _seeded_lottery(rng, case, p)
+        yield case, lot, p
+
+
 def _completion_cases(count: int, max_completions: int = 16):
     """Seeded top-t cases: n <= 4, m <= 5, 1 <= t < m, varied lotteries.
 
@@ -187,6 +210,11 @@ CROSS_CHECKS: tuple[CrossCheck, ...] = (
         "metric-per-agent-pooled", "metric", reference_metric_per_agent,
         "one block per distinct ballot", partial(_pooled_ballot_cases, 240), "rel+tie",
         distinct=False, min_finite=0.5,
+    ),
+    CrossCheck(
+        "metric-all-candidates", "metric", reference_metric_all_candidates,
+        "the candidates skipped by their pairwise bound", partial(_repeated_ballot_cases, 300),
+        "bits", distinct=False, min_finite=0.5,
     ),
     # arg_optimum is not compared: on ties the two routes may report
     # different optimal alternatives.

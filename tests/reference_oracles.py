@@ -43,6 +43,14 @@ block of m distances, chain rows and pair rows per agent, so agents who
 cast the same ballot get identical blocks. On profiles whose ballots are
 all distinct the two build the same arrays and must agree to the bit.
 
+``reference_metric_all_candidates`` is the warm-started route over one
+block per distinct ballot as the library ran it before it skipped the
+candidates that the pairwise bound B_X rules out: every candidate's dual
+solved (``reference_metric_candidate_duals``, which can also solve each one
+cold). A skipped candidate never replaces the best, so the two must agree
+to the bit. ``reference_candidate_bounds`` computes each B_X with one loop
+over the agents per pair of alternatives.
+
 ``reference_metric_rows`` is the metric program's row builder as the
 library first ran it, reading each agent's ranks from a ``{x: rank}`` dict
 where ``oracles._metric_rows`` reads ``p.positions``; the two must build the
@@ -383,6 +391,83 @@ def reference_metric_per_agent(lot: Lottery, p: Profile | TopTProfile) -> Distor
         witness=_metric_closure(y[:nm].reshape(n, m), n, m),
         arg_optimum=best_x,
     )
+
+
+def reference_metric_candidate_duals(
+    lot: Lottery, p: Profile | TopTProfile, *, warm: bool = True
+) -> tuple[list[lp.LPOutcome], list[int], int]:
+    """Every candidate's dual program over one block per distinct ballot,
+    as ``metric_distortion`` built it; each later candidate starts from
+    candidate 0's optimum (``warm``) or every candidate is solved cold. The
+    caller has ruled out unboundedness. Returns the outcomes, each agent's
+    block and k*m."""
+    block: dict[tuple[int, ...], int] = {}
+    blocks = [block.setdefault(b, len(block)) for b in p.ballots]
+    _, agents, w = np.unique(blocks, return_index=True, return_counts=True)
+    m = p.m
+    km = len(block) * m
+    primal = _metric_rows(p, agents)
+    nv = primal.shape[1]
+    cost = np.zeros(nv)
+    cost[:km] = (w[:, None] * lot.prob).ravel()
+    lhs = np.zeros((nv, primal.shape[0] + 1))
+    lhs[:, :-1] = primal.T
+    objective = np.zeros(lhs.shape[1])
+    objective[-1] = 1.0
+    rel = (">=",) * nv
+    duals: list[lp.LPOutcome] = []
+    for x_star in range(m):
+        a = lhs.copy()
+        a[x_star:km:m, -1] = w
+        program = lp.LinearProgram(
+            objective=objective, lhs=a, relations=rel, rhs=cost, maximize=False
+        )
+        start = duals[0] if warm and duals else None
+        dual = lp.solve(program) if start is None else lp.solve(program, start=start)
+        if dual.status != lp.OPTIMAL:
+            raise RuntimeError(f"dual metric program for x*={x_star} returned {dual.status}")
+        duals.append(dual)
+    return duals, blocks, km
+
+
+def reference_metric_all_candidates(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
+    """Worst case via every candidate's warm-started dual program, with no
+    candidate skipped by its bound B_X."""
+    unbounded = _metric_unbounded(lot, p, range(p.n))
+    if unbounded is not None:
+        return unbounded
+    duals, blocks, km = reference_metric_candidate_duals(lot, p)
+    best_value, (best_x, y) = _first_max(
+        (dual.value, (x_star, dual.duals)) for x_star, dual in enumerate(duals)
+    )
+    return DistortionReport(
+        value=DistortionValue.finite(max(best_value, 1.0)),
+        witness=_metric_closure(y[:km].reshape(-1, p.m)[blocks], p.n, p.m),
+        arg_optimum=best_x,
+    )
+
+
+def reference_candidate_bounds(lot: Lottery, p: Profile | TopTProfile) -> list[float]:
+    """B_X = sum_Y q_Y r(Y, X), one pairwise loop per (Y, X): s counts the
+    agents whose ballot ranks Y above X (an unranked alternative below every
+    ranked one), r(X, X) = 1, r(Y, X) = 1 + 2(n - s)/s, inf when s = 0, and
+    a term with q_Y = 0 counts as 0."""
+    bounds = []
+    for x in range(p.m):
+        total = 0.0
+        for y in range(p.m):
+            q = float(lot.prob[y])
+            if q == 0.0 or y == x:
+                total += q
+                continue
+            s = sum(
+                1
+                for i, ballot in enumerate(p.ballots)
+                if y in ballot and (x in p.unranked(i) or ballot.index(y) < ballot.index(x))
+            )
+            total += math.inf if s == 0 else q * (1.0 + 2.0 * (p.n - s) / s)
+        bounds.append(total)
+    return bounds
 
 
 def _utilitarian_program(

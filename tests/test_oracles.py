@@ -2,7 +2,6 @@
 
 import dataclasses
 import gc
-import itertools
 import math
 import weakref
 
@@ -14,11 +13,14 @@ import distortion_lab.lp as lp_mod
 import distortion_lab.oracles as oracles_mod
 from certificates import assert_certified
 from conftest import random_lottery
-from cross_checks import _three_route_cases, compare
+from cross_checks import _repeated_ballot_cases, _three_route_cases, compare
 from distortion_lab.cli import RULES, make_rule
 from paper_claims import checked_by
 from reference_oracles import (
+    reference_candidate_bounds,
+    reference_completion_max,
     reference_exhaustive_worst_case,
+    reference_metric_candidate_duals,
     reference_metric_dual_cold,
     reference_metric_rows,
     reference_utilitarian_dinkelbach,
@@ -244,6 +246,42 @@ class TestDinkelbachCrossCheck:
         )
 
 
+def _candidate_of(program) -> int:
+    """The candidate X* of a metric dual program: lambda's column is first
+    nonzero at row X* (block 0, alternative X*)."""
+    return int(np.flatnonzero(program.lhs[:, -1])[0])
+
+
+def _at_most(value: float, limit: float) -> bool:
+    """value <= limit up to the rounding of a dual value, 1e-12 relative: the
+    bound B_X is often tight (V_X = B_X), and a solve reads a few ulps off.
+    That is a thousandth of ``SKIP_MARGIN``, which must exceed it."""
+    return value <= limit + 1e-12 * max(1.0, abs(limit))
+
+
+def _solved_by_the_bound(lot, p, value) -> list[int]:
+    """The candidates the oracle solves when candidate x's dual value is
+    ``value(x)``: candidate 0, then every later candidate whose bound B_X is
+    not at least ``SKIP_MARGIN`` below the running best under
+    ``_first_max``'s rule."""
+    bound = oracles_mod._candidate_bounds(lot, p)
+    solved, best = [0], value(0)
+    for x in range(1, p.m):
+        if bound[x] > best - oracles_mod.SKIP_MARGIN * max(1.0, abs(best)):
+            solved.append(x)
+            if oracles_mod._replaces(value(x), best):
+                best = value(x)
+    return solved
+
+
+def assert_skips_follow_the_bound(lot, p, solved, where=None):
+    """``solved`` lists (candidate, dual value) in solve order; it must list
+    exactly the candidates that ``_solved_by_the_bound`` names."""
+    values = dict(solved)
+    expected = _solved_by_the_bound(lot, p, lambda x: values.get(x, -math.inf))
+    assert [x for x, _ in solved] == expected, where
+
+
 def _warm_chain_cases():
     """``_three_route_cases`` plus seeded top-t profiles at n <= 8, m <= 6."""
     yield from _three_route_cases(300, seed=59_000, n_max=6)
@@ -300,7 +338,7 @@ class TestWarmChainCrossCheck:
             return out
 
         monkeypatch.setattr(oracles_mod.lp, "solve", recording)
-        count, finite, near_tol, worst, moved, mismatches = 0, 0, 0, 0.0, 0, []
+        count, finite, near_tol, worst, moved, skipped, mismatches = 0, 0, 0, 0.0, 0, 0, []
         for case, lot, p in _warm_chain_cases():
             count += 1
             log.clear()
@@ -317,8 +355,20 @@ class TestWarmChainCrossCheck:
                 assert chain == [] and got.arg_optimum == want.arg_optimum, case
                 continue
             finite += 1
-            # Candidate 0 is solved cold, and to the bit as a cold solve.
-            assert [warm for _, warm, _ in chain] == [False] + [True] * (p.m - 1), case
+            # Candidate 0 is solved cold, and to the bit as a cold solve; the
+            # solved candidates are those the bound does not rule out.
+            assert [warm for _, warm, _ in chain] == [False] + [True] * (len(chain) - 1), case
+            solved = [(_candidate_of(program), out.value) for program, _, out in chain]
+            assert_skips_follow_the_bound(lot, p, solved, case)
+            # A skipped candidate's cold value is at most its bound, and at
+            # least the margin below the winner.
+            bound, win = oracles_mod._candidate_bounds(lot, p), dict(solved)[got.arg_optimum]
+            for x in set(range(p.m)) - {x for x, _ in solved}:
+                assert _at_most(cold[x], bound[x]), (case, x)
+                assert _at_most(cold[x], win - oracles_mod.SKIP_MARGIN * max(1.0, abs(win))), (
+                    case, x,
+                )
+            skipped += p.m - len(chain)
             program, _, first = chain[0]
             again = solve(program)
             assert first.value == again.value, case
@@ -341,7 +391,8 @@ class TestWarmChainCrossCheck:
         acceptance_notes.append(
             f"metric warm chain vs cold candidates: {count} cases ({finite} finite), "
             f"worst relative gap {worst:.1e} ({near_tol} cases with a mass below "
-            f"1e-9 held to 1e-9), {moved} tied arg_optimum changes"
+            f"1e-9 held to 1e-9), {moved} tied arg_optimum changes, {skipped} candidates "
+            "skipped by their bound"
         )
 
     @pytest.mark.parametrize("rule, value", [(dl.plurality, 5.0), (dl.copeland, 3.0)])
@@ -370,7 +421,8 @@ class TestWarmChainCrossCheck:
 
 
 class TestMetricProgramShape:
-    """The oracle solves the dual: one row per primal variable, m programs.
+    """The oracle solves the dual: one row per primal variable, one program
+    for candidate 0 and for each later candidate its bound does not rule out.
 
     The primal has one block per distinct ballot, k of them: k(m-1)
     consistency rows, k*m(m-1)/2 pair rows d(b,X) - d(b,Y) <= e(X,Y) that
@@ -381,22 +433,25 @@ class TestMetricProgramShape:
 
     @staticmethod
     def recorded_programs(monkeypatch, lot, p):
+        """The programs solved, after checking that they are the candidates
+        the bound does not rule out."""
         seen = []
         solve = dl.lp.solve
 
         def recording(prog, **kwargs):
-            seen.append(prog)
-            return solve(prog, **kwargs)
+            out = solve(prog, **kwargs)
+            seen.append((prog, out))
+            return out
 
         monkeypatch.setattr(dl.lp, "solve", recording)
         assert metric_distortion(lot, p).value.is_finite
-        return seen
+        assert_skips_follow_the_bound(lot, p, [(_candidate_of(g), out.value) for g, out in seen])
+        return [prog for prog, _ in seen]
 
     def check_full_shape(self, monkeypatch, p, k):
         n, m = p.n, p.m
         assert len(set(p.ballots)) == k < n
         seen = self.recorded_programs(monkeypatch, dl.truncated_harmonic(p), p)
-        assert len(seen) == m
         consistency_rows = k * (m - 1)
         pair_rows = k * m * (m - 1) // 2 + k * m * (m - 1) // 2
         for prog in seen:
@@ -420,13 +475,69 @@ class TestMetricProgramShape:
         k = len(set(p.ballots))
         assert k == (2 if t == 1 else 4)
         seen = self.recorded_programs(monkeypatch, dl.random_dictatorship(p), p)
-        assert len(seen) == m
         # rows is the primal row count of n blocks; each block has rows / n.
         per_ballot = (m - 1) + m * (m - 1) + (m - t) * (m - t - 1) // 2
         assert rows == n * per_ballot
         for prog in seen:
             assert prog.n_rows == k * m + m * (m - 1) // 2
             assert prog.n_vars == k * per_ballot + 1
+
+
+BOUND_CASES = {
+    "thm53-108": (lambda: dl.thm53_instance(108, 9, 1, 2.0)[0], TOPT_RULES),
+    "prop31-200-5": (
+        lambda: dl.prop31_profile(200, 5), ("plurality_veto", "ppv", "truncated_harmonic")
+    ),
+    "thm51-200-5-2": (lambda: dl.thm51_profile(200, 5, 2), ("top_t_det", "top_t_th")),
+}
+
+
+class TestCandidateBound:
+    """B_X = sum_Y q_Y r(Y, X), with r(Y, X) = 1 + 2(n - s)/s for the s agents
+    who rank Y above X, bounds candidate X's value V_X from above."""
+
+    def test_matches_pairwise_loop(self):
+        for case, lot, p in _warm_chain_cases():
+            got = oracles_mod._candidate_bounds(lot, p)
+            want = reference_candidate_bounds(lot, p)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0), case
+
+    @staticmethod
+    def check_cold_values(lot, p, where) -> tuple[int, int]:
+        """Assert B_X >= every candidate's cold dual value; return the number
+        of candidates and of those the library skips."""
+        bound = oracles_mod._candidate_bounds(lot, p)
+        duals, _, _ = reference_metric_candidate_duals(lot, p, warm=False)
+        for x, dual in enumerate(duals):
+            assert _at_most(dual.value, bound[x]), (where, x, dual.value, bound[x])
+        solved = _solved_by_the_bound(lot, p, lambda x: duals[x].value)
+        return p.m, p.m - len(solved)
+
+    def test_bound_covers_seeded_cold_values(self, acceptance_notes):
+        candidates, skipped = 0, 0
+        for case, lot, p in _repeated_ballot_cases(300):
+            if metric_distortion(lot, p).value.is_finite:
+                c, k = self.check_cold_values(lot, p, case)
+                candidates, skipped = candidates + c, skipped + k
+        assert skipped > 0
+        acceptance_notes.append(
+            f"candidate bound >= cold value: {candidates} candidates of "
+            f"_repeated_ballot_cases(300), {skipped} skipped"
+        )
+
+    @pytest.mark.parametrize("case", list(BOUND_CASES))
+    def test_bound_covers_cold_values_at_large_n(self, case, acceptance_notes):
+        make, rules = BOUND_CASES[case]
+        p = make()
+        notes = []
+        for rid in rules:
+            lot = make_rule(rid, {})[0](p)
+            assert metric_distortion(lot, p).value.is_finite, rid
+            c, k = self.check_cold_values(lot, p, (case, rid))
+            notes.append(f"{rid} {k}/{c}")
+        acceptance_notes.append(
+            f"candidate bound >= cold value on {case}, skipped/candidates: " + ", ".join(notes)
+        )
 
 
 class TestRuleDistortion:
@@ -455,26 +566,14 @@ class TestRuleDistortion:
 
 
 class TestTopTOracles:
-    def test_matches_manual_completion_max(self):
+    def test_matches_completion_max(self):
         # t = 1 of 3 leaves two completions per agent; the oracle must match
-        # an explicit maximum computed through the public full-ranking API.
+        # the maximum over the four completions, each solved by the oracle.
         topt = TopTProfile(m=3, t=1, prefixes=((0,), (2,)))
         lot = Lottery(np.array([0.2, 0.3, 0.5]))
         for oracle in (metric_distortion, utilitarian_distortion):
             direct = oracle(lot, topt)
-            best = None
-            for tail_a in itertools.permutations((1, 2)):
-                for tail_b in itertools.permutations((0, 1)):
-                    full = Profile(
-                        m=3,
-                        rankings=((0,) + tail_a, (2,) + tail_b),
-                    )
-                    got = oracle(lot, full).value
-                    if got.is_unbounded:
-                        best = got
-                        break
-                    if best is None or (best.is_finite and got.value > best.value):
-                        best = got
+            best = reference_completion_max(oracle, lot, topt).value
             assert direct.value.is_unbounded == best.is_unbounded
             if direct.value.is_finite:
                 assert direct.value.value == pytest.approx(best.value, abs=1e-6)
