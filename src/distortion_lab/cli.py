@@ -446,7 +446,7 @@ def cmd_reproduce(args) -> int:
     if not exhaustive and args.sample is None:
         raise CliError(
             EXIT_BUDGET,
-            f"{count} profiles exceed the budget of {budget}; "
+            f"{oracles._count_text(count)} profiles exceed the budget of {budget}; "
             "pass --sample K to sample instead",
         )
 

@@ -30,6 +30,14 @@ phase 1 the one artificial leaves as soon as its row ties in the ratio
 test, which ends the phase; Bland's lowest-index rule would keep it
 basic, at a value that is only rounding residue, through thousands of
 pivots.
+
+Each pivot subtracts one rank-one product from the whole tableau in place
+(``_pivot``), and the ratio test divides the pivot column's eligible rows
+as arrays. Every nonzero entry and every ratio is the same double as in an
+update that leaves the pivot row out of the product and zeroes the pivot
+column by hand, with the ratios taken in a loop over the rows. Only the
+sign of a zero entry may differ, and no comparison in the solver tells the
+two zeros apart, so the pivot path is the same.
 """
 
 from __future__ import annotations
@@ -48,7 +56,8 @@ UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 _RELATIONS = ("<=", "=", ">=")
-_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
+# A row's slack column coefficient: +1 for <=, -1 (surplus) for >=, 0 for =.
+_SLACK_SIGNS = {"<=": 1.0, ">=": -1.0, "=": 0.0}
 
 __all__ = ["LinearProgram", "LPOutcome", "SolverError", "solve"]
 
@@ -60,7 +69,11 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """``max/min objective @ x`` subject to ``lhs @ x (<=|=|>=) rhs``, ``x >= lb``."""
+    """``max/min objective @ x`` subject to ``lhs @ x (<=|=|>=) rhs``, ``x >= lb``.
+
+    ``slack_signs`` is derived: row i's slack coefficient, +1 for ``<=``,
+    -1 for ``>=`` and 0 for ``=``.
+    """
 
     objective: np.ndarray
     lhs: np.ndarray
@@ -68,6 +81,7 @@ class LinearProgram:
     rhs: np.ndarray
     maximize: bool = True
     lower_bounds: np.ndarray | None = None
+    slack_signs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.objective, dtype=float))
@@ -89,9 +103,11 @@ class LinearProgram:
             raise ValueError(
                 f"got {a.shape[0]} constraint rows, {len(rel)} relations, {b.size} rhs entries"
             )
-        for r in rel:
-            if r not in _RELATIONS:
-                raise ValueError(f"unknown relation {r!r}")
+        try:
+            signs = np.array([_SLACK_SIGNS[r] for r in rel])
+        except (KeyError, TypeError):
+            bad = next(r for r in rel if r not in _RELATIONS)
+            raise ValueError(f"unknown relation {bad!r}") from None
         lb = self.lower_bounds
         lb = np.zeros(c.size) if lb is None else np.asarray(lb, dtype=float)
         if lb.shape != c.shape:
@@ -104,6 +120,7 @@ class LinearProgram:
         object.__setattr__(self, "relations", rel)
         object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "lower_bounds", lb)
+        object.__setattr__(self, "slack_signs", signs)
 
     @property
     def n_vars(self) -> int:
@@ -142,12 +159,21 @@ class LPOutcome:
 
 
 def _pivot(tab: np.ndarray, row: int, col: int):
-    tab[row] /= tab[row, col]
-    factors = tab[:, col].copy()
-    factors[row] = 0.0
-    tab -= np.multiply.outer(factors, tab[row])
-    tab[:, col] = 0.0
-    tab[row, col] = 1.0
+    """Pivot on ``tab[row, col]`` in place: the pivot row becomes r, itself
+    scaled so that r[col] = 1, and every other row i loses tab[i, col] * r.
+
+    The product runs over every row, the pivot row included, and r then
+    overwrites that row; r[col] is exactly 1, so the pivot column comes out
+    exactly 0 off the pivot row. The product is a matrix product whose inner
+    dimension is one, so each entry is one rounded multiplication: every
+    nonzero entry is the same double as in an update that leaves the pivot
+    row out of an outer product and zeroes the column by hand, and only the
+    sign of a zero entry may differ. ``np.dot`` forms it faster than
+    ``np.einsum`` or ``np.multiply.outer`` on the metric oracle's tableaux.
+    """
+    r = tab[row] / tab[row, col]
+    tab -= np.dot(tab[:, col, None], r[None])
+    tab[row] = r
 
 
 def _run_phase(
@@ -176,18 +202,13 @@ def _run_phase(
         col = int(eligible.argmax())  # Bland: lowest eligible index
         if not eligible[col]:
             return OPTIMAL
-        # The ratio test runs on Python floats: on the small tableaux that
-        # dominate, per-call numpy overhead costs more than the arithmetic.
-        ratios = [
-            (r / a, i)
-            for i, (a, r) in enumerate(zip(tab[:n_rows, col].tolist(), rhs.tolist()))
-            if a > PIVOT_FLOOR
-        ]
-        if not ratios:
+        column = tab[:n_rows, col]
+        rows = (column > PIVOT_FLOOR).nonzero()[0]
+        if not rows.size:
             return UNBOUNDED
-        best = min(ratios)[0]
-        cut = best + 1e-9 * (1.0 + abs(best))
-        ties = [i for q, i in ratios if q <= cut]
+        ratios = rhs[rows] / column[rows]
+        best = float(ratios.min())
+        ties = rows[ratios <= best + 1e-9 * (1.0 + abs(best))].tolist()
         if len(ties) == 1:
             row = ties[0]
         else:
@@ -238,7 +259,7 @@ def solve(
     # Shift to y = x - lb >= 0.
     a = lp.lhs
     b = lp.rhs - a @ lb
-    rel = list(lp.relations)
+    signs = lp.slack_signs
     c = lp.objective if lp.maximize else -lp.objective
 
     flip = b < 0
@@ -246,43 +267,39 @@ def solve(
         a = a.copy()
         a[flip] *= -1.0
         b = np.where(flip, -b, b)
-        rel = [_FLIPPED[r] if f else r for r, f in zip(rel, flip)]
+        signs = np.where(flip, -signs, signs)
 
-    n_rows = len(rel)
-    slack_rows = [i for i, r in enumerate(rel) if r in ("<=", ">=")]
-    art_rows = [i for i, r in enumerate(rel) if r in (">=", "=")]
-    n_slack = len(slack_rows)
-    art_start = n + n_slack
-    # Row i's dual is dual_sign[i] times the bottom row at column dual_col[i].
+    n_rows = lp.n_rows
+    # Slack columns for the <= and >= rows, in row order, then artificials.
+    slack_rows = signs.nonzero()[0]
+    art_start = n + slack_rows.size
+    slack_col = np.zeros(n_rows, dtype=np.intp)
+    slack_col[slack_rows] = np.arange(n, art_start)
+    # Row i's dual is dual_sign[i] times the bottom row at column dual_col[i]:
+    # its slack column, or for an = row its artificial.
     sense = 1.0 if lp.maximize else -1.0
-    dual_col = [0] * n_rows
-    dual_sign = [-sense if f else sense for f in flip.tolist()]
-    slack_sign = [0.0] * n_rows
-    for k, i in enumerate(slack_rows):
-        slack_sign[i] = 1.0 if rel[i] == "<=" else -1.0
-        dual_col[i] = n + k
-        dual_sign[i] *= slack_sign[i]
+    dual_sign = np.where(flip, -sense, sense) * np.where(signs == 0.0, 1.0, signs)
+    dual_col = slack_col
 
     if start is None:
-        n_art = len(art_rows)
-        n_cols = n + n_slack + n_art
+        art_rows = (signs <= 0.0).nonzero()[0]
+        n_art = art_rows.size
+        n_cols = art_start + n_art
+        art_col = np.zeros(n_rows, dtype=np.intp)
+        art_col[art_rows] = np.arange(art_start, n_cols)
         tab = np.zeros((n_rows + 1, n_cols + 1))
         tab[:n_rows, :n] = a
         tab[:n_rows, -1] = b
-        basis = [-1] * n_rows
-        for k, i in enumerate(slack_rows):
-            tab[i, n + k] = slack_sign[i]
-            if slack_sign[i] > 0:
-                basis[i] = n + k
-        for k, i in enumerate(art_rows):
-            tab[i, art_start + k] = 1.0
-            basis[i] = art_start + k
-            if rel[i] == "=":
-                dual_col[i] = art_start + k
+        tab[slack_rows, slack_col[slack_rows]] = signs[slack_rows]
+        tab[art_rows, art_col[art_rows]] = 1.0
+        # A <= row starts on its slack; every other row on its artificial.
+        basis = np.where(signs > 0.0, slack_col, art_col).tolist()
+        dual_col = np.where(signs == 0.0, art_col, slack_col)
+        art_rows = art_rows.tolist()
     else:
         _check_start(lp, start)
         # Every row is an inequality, so column n + i is row i's slack and
-        # holds slack_sign[i] * B^-1 e_i. The old last column moves to
+        # holds signs[i] * B^-1 e_i. The old last column moves to
         # art_start, the one artificial, and keeps its place in the basis.
         prev = start.tableau
         n_art = 1
@@ -291,7 +308,7 @@ def solve(
         tab[:n_rows, :art_start] = prev[:n_rows, :art_start]
         tab[:n_rows, art_start] = prev[:n_rows, n - 1]
         tab[:n_rows, -1] = prev[:n_rows, -1]
-        tab[:n_rows, n - 1] = prev[:n_rows, n:art_start] @ (np.array(slack_sign) * a[:, -1])
+        tab[:n_rows, n - 1] = prev[:n_rows, n:art_start] @ (signs * a[:, -1])
         basis = [art_start if j == n - 1 else j for j in start.basis]
         art_rows = [i for i, j in enumerate(basis) if j == art_start]
 
@@ -346,13 +363,13 @@ def solve(
 
     values = tab[:n_rows, -1]
     if start is not None:
-        values = _refined(values, basis, a, b, np.array(slack_sign), tab[:n_rows, n:art_start])
+        values = _refined(values, basis, a, b, signs, tab[:n_rows, n:art_start])
     y = np.zeros(n_cols)
     y[basis] = values
     x = y[:n] + lb
     value = float(lp.objective @ x)
     _check_feasible(lp, x)
-    duals = np.array(dual_sign) * tab[-1, dual_col]
+    duals = dual_sign * tab[-1, dual_col]
     return LPOutcome(
         status=OPTIMAL,
         value=value,
@@ -366,7 +383,7 @@ def solve(
 
 def _refined(
     values: np.ndarray, basis: list[int], a: np.ndarray, b: np.ndarray,
-    slack_sign: np.ndarray, slack_block: np.ndarray,
+    signs: np.ndarray, slack_block: np.ndarray,
 ) -> np.ndarray:
     """The basic values after one step of iterative refinement: a warm
     tableau carries the rounding of every pivot since its chain's cold
@@ -375,10 +392,11 @@ def _refined(
     n = a.shape[1]
     cols = np.array(basis)
     real = cols < n
+    slack = ~real
     resid = b - a[:, cols[real]] @ values[real]
-    rows = cols[~real] - n
-    resid[rows] -= slack_sign[rows] * values[~real]
-    return values + slack_block @ (slack_sign * resid)
+    rows = cols[slack] - n
+    resid[rows] -= signs[rows] * values[slack]
+    return values + slack_block @ (signs * resid)
 
 
 def _check_start(lp: LinearProgram, start: LPOutcome):
@@ -392,28 +410,30 @@ def _check_start(lp: LinearProgram, start: LPOutcome):
         old.lhs.shape == lp.lhs.shape
         and old.relations == lp.relations
         and old.maximize == lp.maximize
-        and np.array_equal(old.objective, lp.objective)
-        and np.array_equal(old.rhs, lp.rhs)
-        and np.array_equal(old.lower_bounds, lp.lower_bounds)
-        and np.array_equal(old.lhs[:, :-1], lp.lhs[:, :-1])
+        and _same(old.objective, lp.objective)
+        and _same(old.rhs, lp.rhs)
+        and _same(old.lower_bounds, lp.lower_bounds)
+        and _same(old.lhs[:, :-1], lp.lhs[:, :-1])
     ):
         raise ValueError("a warm start must solve a program that differs only in the last lhs column")
     if lp.lower_bounds[-1] != 0.0:
         raise ValueError("a warm start needs a zero lower bound on the last variable")
 
 
+def _same(x: np.ndarray, y: np.ndarray) -> bool:
+    """Two equal-shape arrays of finite entries are equal: at once if they
+    are one array (the oracle shares its objective and rhs)."""
+    return x is y or bool((x == y).all())
+
+
 def _check_feasible(lp: LinearProgram, x: np.ndarray):
     """Defensive post-check; a violation indicates a solver bug."""
     if (x < lp.lower_bounds - FEAS_TOL).any():
         raise SolverError("solver returned an assignment below a variable bound")
-    residuals = (lp.lhs @ x - lp.rhs).tolist()
-    for i, (r, resid) in enumerate(zip(lp.relations, residuals)):
-        ok = (
-            resid <= FEAS_TOL
-            if r == "<="
-            else resid >= -FEAS_TOL
-            if r == ">="
-            else abs(resid) <= FEAS_TOL
-        )
-        if not ok:
-            raise SolverError(f"solver returned an assignment violating row {i}")
+    resid = lp.lhs @ x - lp.rhs
+    # How far each row lies beyond its rhs: above it for <=, below it for
+    # >=, on either side for = (sign 0).
+    signs = lp.slack_signs
+    ok = np.where(signs == 0.0, np.abs(resid), signs * resid) <= FEAS_TOL
+    if not ok.all():
+        raise SolverError(f"solver returned an assignment violating row {int(ok.argmin())}")

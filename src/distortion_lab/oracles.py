@@ -54,13 +54,16 @@ or unbounded, comes with a concrete witness instance.
   So SC(Y) <= SC(X) + (n-s) d(X,Y) <= r(Y,X) SC(X) with
   r(Y,X) = 1 + 2(n-s)/s, and V_X <= B_X = sum_Y q_Y r(Y,X), where
   r(X,X) = 1, r = inf when s = 0 and a term with q_Y = 0 counts as 0.
-  Candidate 0 is always solved; each later X* is skipped when
-  B_X* <= best - 1e-9 max(1, |best|), best being the largest dual value so
-  far under ``_first_max``'s rule. The margin exceeds the solver's value
-  error, so a skipped candidate's dual value could never have replaced
-  the best, and since every warm start is candidate 0's outcome, no other
-  solve changes: the value, ``arg_optimum`` and witness are those of
-  solving every candidate, to the bit.
+  Candidate 0 is always solved first; the others follow in descending
+  order of B_X (equal bounds by index), so that the likely winners raise
+  best early, and each is skipped when B_X* <= best - 1e-9 max(1, |best|),
+  best being the largest dual value so far under ``_first_max``'s rule.
+  The margin exceeds the solver's value error, so a skipped candidate's
+  dual value lies below the largest by more than ``_first_max``'s tie
+  margin and could never be chosen. The answer is ``_first_max`` over the
+  solved values in index order, and since every warm start is candidate
+  0's outcome, no solve depends on the order: the value, ``arg_optimum``
+  and witness are those of solving every candidate, to the bit.
 
   The row duals of the winning dual are an optimal y. They
   are checked against the primal (y >= 0, A y <= 0, a_X*.y = 1, c.y equal
@@ -118,9 +121,11 @@ therefore solves each (ballot multiset, lottery) it meets once and stores
 the value under the key of each of its m! renamings, in a dict local to
 the call.
 
-Deterministic throughout: candidates scan in ascending index order through
-``_first_max``, which every best-so-far scan uses, so values tied within a
-relative 1e-12 resolve to the lowest index at any magnitude.
+Deterministic throughout: candidates are chosen in ascending index order
+through ``_first_max``, which every best-so-far scan uses, so values tied
+within a relative 1e-12 resolve to the lowest index at any magnitude. The
+metric oracle solves its candidates in bound order but chooses among them
+in index order.
 """
 
 from __future__ import annotations
@@ -191,6 +196,22 @@ def _first_max(candidates: Iterable[tuple[float, T]]) -> tuple[float, T]:
             if math.isinf(value):
                 break
     return best
+
+
+def _count_text(count: int) -> str:
+    """``count`` in decimal, or as "at least 10^e" when it has more digits
+    than Python converts to text (4,300 by default), so that a budget error
+    on a very large shape still prints its message."""
+    try:
+        return str(count)
+    except ValueError:
+        # The largest e with 10^e <= count, from an estimate off by at most one.
+        e = int((count.bit_length() - 1) * math.log10(2))
+        while 10 ** (e + 1) <= count:
+            e += 1
+        while 10**e > count:
+            e -= 1
+        return f"at least 10^{e}"
 
 
 def _check_dims(lot: Lottery, p: Profile | TopTProfile):
@@ -356,10 +377,12 @@ def metric_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionRepor
     candidate 0's outcome as ``start``, since only lambda's column changes.
     Starting from the previous candidate instead would carry the rounding
     of every warm solve down the chain, which on ``thm53_instance`` grows
-    the tableau until the solve fails. A later candidate whose pairwise
-    bound B_X* (``_candidate_bounds``) is at least ``SKIP_MARGIN`` below
-    the best dual value so far is skipped: V_X* <= B_X*, so it could not
-    replace the best. Each solve's (mu, lambda) passes the solver's
+    the tableau until the solve fails. The later candidates are solved in
+    descending order of their pairwise bound B_X* (``_candidate_bounds``),
+    equal bounds by index, and one whose B_X* is at least ``SKIP_MARGIN``
+    below the best dual value so far is skipped: V_X* <= B_X*, so it could
+    not be the maximum. ``_first_max`` then chooses among the solved
+    candidates in index order. Each solve's (mu, lambda) passes the solver's
     feasibility check, so lambda_X bounds the primal value V_X from above,
     as B_X does for a skipped X; the winning y is checked against the
     primal, so c.y = lambda_win bounds V_win from below; together they
@@ -389,35 +412,36 @@ def metric_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionRepor
     objective[-1] = 1.0
     rel = (">=",) * nv
     bound = _candidate_bounds(lot, p)
-
-    def candidates() -> Iterator[tuple[float, tuple[int, lp.LPOutcome]]]:
-        first, best = None, math.nan
-        for x_star in range(m):
-            # V_X* <= B_X*, so this candidate cannot replace the best.
-            if first is not None and bound[x_star] <= best - SKIP_MARGIN * max(1.0, abs(best)):
-                continue
-            a = lhs.copy()
-            a[x_star:km:m, -1] = w
-            program = lp.LinearProgram(
-                objective=objective, lhs=a, relations=rel, rhs=cost, maximize=False
+    # Candidate 0 first, then the rest by descending bound (ties by index).
+    order = [0] + sorted(range(1, m), key=bound.__getitem__, reverse=True)
+    first, best, solved = None, math.nan, []
+    for x_star in order:
+        # V_X* <= B_X*, so this candidate cannot be the maximum.
+        if first is not None and bound[x_star] <= best - SKIP_MARGIN * max(1.0, abs(best)):
+            continue
+        a = lhs.copy()
+        a[x_star:km:m, -1] = w
+        program = lp.LinearProgram(
+            objective=objective, lhs=a, relations=rel, rhs=cost, maximize=False
+        )
+        # Candidate 0 starts cold; each later one from candidate 0's basis.
+        if first is None:
+            dual = first = lp.solve(program)
+        else:
+            dual = lp.solve(program, start=first)
+        if dual.status != lp.OPTIMAL:
+            raise lp.SolverError(
+                f"dual metric program for x*={x_star} returned {dual.status}, so the "
+                "primal is unbounded or infeasible after the closure test found "
+                "the distortion bounded"
             )
-            # Candidate 0 starts cold; each later one from candidate 0's basis.
-            if first is None:
-                dual = first = lp.solve(program)
-            else:
-                dual = lp.solve(program, start=first)
-            if dual.status != lp.OPTIMAL:
-                raise lp.SolverError(
-                    f"dual metric program for x*={x_star} returned {dual.status}, so the "
-                    "primal is unbounded or infeasible after the closure test found "
-                    "the distortion bounded"
-                )
-            if dual is first or _replaces(dual.value, best):
-                best = dual.value
-            yield dual.value, (x_star, dual)
+        if dual is first or _replaces(dual.value, best):
+            best = dual.value
+        solved.append((x_star, dual.value, dual.duals))
 
-    best_value, (best_x, dual) = _first_max(candidates())
-    y = dual.duals
+    # The first maximum in index order, as if every candidate were solved.
+    solved.sort(key=lambda s: s[0])
+    best_value, (best_x, y) = _first_max((value, (x, y)) for x, value, y in solved)
     tol = lp.FEAS_TOL
     if not (
         (y >= -tol).all()
@@ -581,7 +605,7 @@ def utilitarian_distortion_bruteforce(
     combos = m**n
     if combos > budget:
         raise BudgetExceededError(
-            f"{combos} vertex combinations exceed the budget of {budget}"
+            f"{_count_text(combos)} vertex combinations exceed the budget of {budget}"
         )
     # vertex_welfare[i][k] is agent i's welfare row for the uniform top-(k+1)
     # vertex: entries 1/(k+1) on the top k+1 ranked alternatives.
@@ -680,7 +704,9 @@ def exhaustive_worst_case(
         raise ValueError(f"t={t} out of range for m={m}")
     count = _profile_count(n, m, t)
     if count > budget:
-        raise BudgetExceededError(f"{count} profiles exceed the budget of {budget}")
+        raise BudgetExceededError(
+            f"{_count_text(count)} profiles exceed the budget of {budget}"
+        )
     # Each renaming pi as (pi, pi^-1); pi takes alternative x to pi[x].
     renamings = [(pi, [pi.index(y) for y in range(m)]) for pi in itertools.permutations(range(m))]
     solved: dict[tuple[tuple[tuple[int, ...], ...], bytes], float] = {}

@@ -80,6 +80,15 @@ veto phase on the restricted ``Profile``, where the rules now count all
 pairwise wins at once from ``p.positions`` and take the veto winner on the
 restricted ballots.
 
+``reference_pivot`` and ``reference_run_phase`` are the simplex's pivot
+and pivot loop as ``lp`` ran them before each pivot formed one product over
+every row and the ratio test took the pivot column's eligible rows as
+arrays: the pivot row scaled first and left out of an outer product, the
+pivot column zeroed by hand, and the ratios as (ratio, row) pairs of Python
+floats. Patched into ``lp``, they must take the same pivots, and every
+nonzero tableau entry must come out the same; only the sign of a zero may
+differ.
+
 ``restrict_profile`` builds that restricted ``Profile``. It left the
 library's public API once no library code called it; the library keeps
 only ``core._restrict_ballots``, which it wraps.
@@ -119,6 +128,53 @@ from distortion_lab.oracles import (
 from distortion_lab.rules import VetoTrace, harmonic_number
 
 DEGENERACY_TOL = 1e-7
+
+
+def reference_pivot(tab: np.ndarray, row: int, col: int):
+    """Pivot on ``tab[row, col]`` in place with the pivot row scaled first
+    and left out of the outer product, then the pivot column set by hand."""
+    tab[row] /= tab[row, col]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= np.multiply.outer(factors, tab[row])
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+
+
+def reference_run_phase(
+    tab: np.ndarray,
+    basis: list[int],
+    n_allowed: int,
+    max_pivots: int,
+    dump,
+    first_out: int | None = None,
+) -> str:
+    """``lp._run_phase`` with its ratio test on Python floats and every
+    pivot taken by ``reference_pivot``; same signature and rules."""
+    n_rows = tab.shape[0] - 1
+    reduced = tab[-1, :n_allowed]
+    rhs = tab[:n_rows, -1]
+    for _ in range(max_pivots):
+        eligible = reduced < -lp.PIVOT_TOL
+        col = int(eligible.argmax())
+        if not eligible[col]:
+            return lp.OPTIMAL
+        ratios = [
+            (r / a, i)
+            for i, (a, r) in enumerate(zip(tab[:n_rows, col].tolist(), rhs.tolist()))
+            if a > lp.PIVOT_FLOOR
+        ]
+        if not ratios:
+            return lp.UNBOUNDED
+        best = min(ratios)[0]
+        cut = best + 1e-9 * (1.0 + abs(best))
+        ties = [i for q, i in ratios if q <= cut]
+        row = min(ties, key=lambda i: (basis[i] != first_out, basis[i]))
+        if dump is not None:
+            dump.write(f"pivot: col {col} enters, row {row} (basic {basis[row]}) leaves\n")
+        reference_pivot(tab, row, col)
+        basis[row] = col
+    raise lp.SolverError(f"simplex did not terminate within {max_pivots} pivots")
 
 
 def reference_metric_rows(p: Profile | TopTProfile) -> np.ndarray:

@@ -271,6 +271,20 @@ class TestOracle:
         )
         assert code == 4
 
+    def test_budget_error_on_a_huge_profile(self, tmp_path):
+        # 3^10000 vertex combinations: too many digits for str(), so the
+        # message states the count by its order of magnitude.
+        path = tmp_path / "big.json"
+        dl.save_instance(dl.random_profile(10_000, 3, seed=0), path)
+        code, out, err = run_cli(
+            ["oracle", "--world", "utilitarian", "--rule", "plurality",
+             "--instance", str(path), "--check-bruteforce"]
+        )
+        assert code == 6 and out == ""
+        assert err == (
+            "distortion-lab: at least 10^4771 vertex combinations exceed the budget of 1000000\n"
+        )
+
     def test_env_budget_override(self, inst, monkeypatch):
         monkeypatch.setenv("DISTORTION_LAB_BUDGET", "2")
         code, _, _ = run_cli(
@@ -665,6 +679,17 @@ class TestReproduce:
         assert lines[0].split() == ["rule", "metric", "utilitarian"]
         rows = {r[0]: r for r in csv.reader(out_csv.read_text().splitlines()[1:])}
         assert float(rows["random_dictatorship"][1]) == pytest.approx(2.0)
+
+    def test_budget_error_on_a_huge_shape(self, tmp_path):
+        # (9!)^2000 profiles: too many digits for str().
+        out_csv = tmp_path / "r.csv"
+        code, out, err = run_cli(["reproduce", "--n", "2000", "--m", "9", "--output", str(out_csv)])
+        assert code == 6 and out == ""
+        assert err == (
+            "distortion-lab: at least 10^11119 profiles exceed the budget of 1000000; "
+            "pass --sample K to sample instead\n"
+        )
+        assert not out_csv.exists()
 
     def test_budget_requires_sample(self, tmp_path):
         code, _, err = run_cli(

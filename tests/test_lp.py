@@ -6,9 +6,12 @@ import io
 import numpy as np
 import pytest
 
+import distortion_lab as dl
 from distortion_lab import LinearProgram, solve
 from distortion_lab import lp as lp_mod
+from distortion_lab import oracles as oracles_mod
 from distortion_lab.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
+from reference_oracles import reference_pivot, reference_run_phase
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -83,19 +86,26 @@ class TestBasics:
             _lp([np.inf], [[1.0]], ("<=",), [1.0])
 
 
+def _mixed_case(case: int) -> LinearProgram:
+    """A seeded maximization with random rows of every relation: some are
+    infeasible, some unbounded."""
+    rng = np.random.default_rng(900 + case)
+    nv = int(rng.integers(2, 6))
+    nr = int(rng.integers(2, 6))
+    lhs = rng.uniform(-1.0, 1.0, size=(nr, nv))
+    rhs = rng.uniform(0.2, 2.0, size=nr)
+    rel = tuple(rng.choice(["<=", ">=", "="]) for _ in range(nr))
+    objective = rng.uniform(-1.0, 1.0, size=nv)
+    return _lp(objective, lhs, rel, rhs)
+
+
 class TestAgainstScipy:
     def test_random_mixed_relation_lps(self):
         agree = 0
         for case in range(60):
-            rng = np.random.default_rng(900 + case)
-            nv = int(rng.integers(2, 6))
-            nr = int(rng.integers(2, 6))
-            lhs = rng.uniform(-1.0, 1.0, size=(nr, nv))
-            rhs = rng.uniform(0.2, 2.0, size=nr)
-            rel = tuple(rng.choice(["<=", ">=", "="]) for _ in range(nr))
-            # keep >= and = rows satisfiable at small x by flipping signs
-            objective = rng.uniform(-1.0, 1.0, size=nv)
-            lp = _lp(objective, lhs, rel, rhs)
+            lp = _mixed_case(case)
+            lhs, rhs, rel, objective = lp.lhs, lp.rhs, lp.relations, lp.objective
+            nv = lp.n_vars
             out = solve(lp)
 
             a_ub, b_ub, a_eq, b_eq = [], [], [], []
@@ -367,3 +377,160 @@ class TestWarmStart:
         assert unbounded.status == UNBOUNDED
         with pytest.raises(ValueError, match="optimal outcome"):
             solve(_lp([1.0, 1.0], [[1.0, 1.0]], ("<=",), [1.0]), start=unbounded)
+
+
+def _seeded_solves():
+    """(program, start) pairs: ``_mixed_case`` and ``_dual_case`` programs
+    solved cold (every relation and outcome, flipped rows, both senses),
+    and the redrawn twins of ``TestWarmStart`` started from an optimum."""
+    for case in range(60):
+        yield _mixed_case(case), None
+    for case in range(200):
+        yield _dual_case(case), None
+    for case in range(100):
+        lp = _dual_case(case, relations=("<=", ">="), seed=8_300)
+        yield _redrawn(lp, 9_100 + 2 * case), solve(lp)
+
+
+# The 64 profiles and the rule of perfbench's metric-full workload at seed 0.
+METRIC_FULL = [dl.random_profile(8, 4, seed) for seed in range(64)]
+
+
+def _metric_full_logs(monkeypatch) -> tuple[list[str], list]:
+    """The pivot log of every LP the metric oracle solves on METRIC_FULL,
+    and its reports."""
+    logs, solve_ = [], lp_mod.solve
+
+    def logged(program, **kwargs):
+        buf = io.StringIO()
+        out = solve_(program, dump=buf, **kwargs)
+        logs.append(buf.getvalue())
+        return out
+
+    monkeypatch.setattr(oracles_mod.lp, "solve", logged)
+    reports = [oracles_mod.metric_distortion(dl.truncated_harmonic(p, 1.0), p) for p in METRIC_FULL]
+    monkeypatch.setattr(oracles_mod.lp, "solve", solve_)
+    return logs, reports
+
+
+class TestPivotKernel:
+    """``_pivot`` and ``_run_phase`` against ``reference_pivot`` and
+    ``reference_run_phase``, the outer-product pivot and the Python-float
+    ratio test they replaced: the same pivots, and every nonzero entry the
+    same double."""
+
+    def test_matches_reference_on_seeded_tableaux(self, monkeypatch, acceptance_notes):
+        tableaux, pivot = [], lp_mod._pivot
+
+        def recording(tab, row, col):
+            tableaux.append((tab.copy(), row, col))
+            pivot(tab, row, col)
+
+        monkeypatch.setattr(lp_mod, "_pivot", recording)
+        for program, start in _seeded_solves():
+            solve(program, start=start)
+        seeded = len(tableaux)
+        # The metric oracle's dual programs: cold, then warm and dense.
+        for p in METRIC_FULL[:8]:
+            oracles_mod.metric_distortion(dl.truncated_harmonic(p, 1.0), p)
+        monkeypatch.undo()
+        negative, zero_signs = 0, 0
+        for tab, row, col in tableaux:
+            got, want = tab.copy(), tab.copy()
+            lp_mod._pivot(got, row, col)
+            reference_pivot(want, row, col)
+            # == compares doubles exactly and takes -0.0 == 0.0.
+            assert np.array_equal(got, want), (row, col)
+            zero_signs += int((np.signbit(got) != np.signbit(want)).sum())
+            negative += tab[row, col] < 0
+        # Both kinds of program, and the negative pivots that drive a
+        # leftover artificial out after phase 1.
+        assert seeded >= 500 and len(tableaux) - seeded >= 200 and negative > 0
+        acceptance_notes.append(
+            f"pivot kernel vs outer-product reference: {len(tableaux)} pivots "
+            f"({seeded} on seeded programs), every entry equal; {zero_signs} zeros "
+            "differ in sign only"
+        )
+
+    def test_pivot_logs_match_reference_on_seeded_programs(self, monkeypatch):
+        def run():
+            for program, start in _seeded_solves():
+                buf = io.StringIO()
+                out = solve(program, dump=buf, start=start)
+                yield buf.getvalue().splitlines(), out
+
+        got = list(run())
+        monkeypatch.setattr(lp_mod, "_run_phase", reference_run_phase)
+        monkeypatch.setattr(lp_mod, "_pivot", reference_pivot)
+        want = list(run())
+        statuses = set()
+        for case, ((log, out), (ref_log, ref)) in enumerate(zip(got, want)):
+            assert log == ref_log, case
+            assert out.status == ref.status, case
+            statuses.add(out.status)
+            if out.status == OPTIMAL:
+                assert out.value == ref.value, case
+                assert np.array_equal(out.assignment, ref.assignment), case
+                assert np.array_equal(out.duals, ref.duals), case
+        assert sum(len(log) for log, _ in got) >= 500 and len(statuses) == 3
+
+    def test_pivot_logs_match_reference_on_metric_full(self, monkeypatch):
+        logs, reports = _metric_full_logs(monkeypatch)
+        monkeypatch.setattr(lp_mod, "_run_phase", reference_run_phase)
+        monkeypatch.setattr(lp_mod, "_pivot", reference_pivot)
+        ref_logs, ref_reports = _metric_full_logs(monkeypatch)
+        assert [log.splitlines() for log in logs] == [log.splitlines() for log in ref_logs]
+        for got, want in zip(reports, ref_reports):
+            assert repr(got.value) == repr(want.value) and got.arg_optimum == want.arg_optimum
+            assert got.witness.dist.tobytes() == want.witness.dist.tobytes()
+
+
+class TestChecks:
+    """The program's validation and the solver's post-check, each rule on
+    its own."""
+
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            ("objective", [1.0, np.nan], "objective"),
+            ("lhs", [[1.0, -np.inf]], "lhs"),
+            ("rhs", [np.inf], "rhs"),
+            ("lower_bounds", [0.0, np.nan], "lower_bounds"),
+        ],
+    )
+    def test_nonfinite_entry_named(self, field, value, name):
+        kwargs = dict(objective=[1.0, 1.0], lhs=[[1.0, 1.0]], relations=("<=",), rhs=[1.0])
+        kwargs[field] = np.array(value)
+        with pytest.raises(ValueError, match=f"{name} entries must be finite"):
+            LinearProgram(**kwargs)
+
+    @pytest.mark.parametrize("relation", ["<", "==", ["<="]])
+    def test_unknown_relation(self, relation):
+        with pytest.raises(ValueError, match="unknown relation"):
+            LinearProgram(
+                objective=np.ones(1), lhs=np.ones((2, 1)), relations=("<=", relation),
+                rhs=np.ones(2),
+            )
+
+    def test_slack_signs(self):
+        lp = _lp([1.0], [[1.0], [1.0], [1.0]], ("<=", ">=", "="), [1.0, 0.0, 0.5])
+        assert lp.slack_signs.tolist() == [1.0, -1.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "relations, rhs, row",
+        [
+            (("<=", "<=", ">="), [2.0, 1.0, 2.0], 1),  # x above a <= row
+            (("<=", ">=", ">="), [2.0, 3.0, 2.0], 1),  # below a >= row
+            (("<=", "=", ">="), [2.0, 1.0, 2.0], 1),  # off an = row, above
+            (("<=", "=", ">="), [2.0, 3.0, 2.0], 1),  # and below
+            (("<=", ">=", "="), [1.0, 3.0, 2.0], 0),  # the first of two
+        ],
+    )
+    def test_post_check_names_the_violated_row(self, relations, rhs, row):
+        program = _lp([1.0], [[1.0]] * 3, relations, rhs)
+        with pytest.raises(lp_mod.SolverError, match=f"violating row {row}"):
+            lp_mod._check_feasible(program, np.array([2.0]))
+
+    def test_post_check_allows_feas_tol(self):
+        program = _lp([1.0], [[1.0]] * 3, ("<=", ">=", "="), [2.0 - 5e-8, 2.0 + 5e-8, 2.0 + 5e-8])
+        lp_mod._check_feasible(program, np.array([2.0]))

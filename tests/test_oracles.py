@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -112,6 +113,12 @@ class TestBruteforceTwin:
             utilitarian_distortion_bruteforce(
                 Lottery.point_mass(4, 0), p, budget=100
             )
+
+    def test_budget_error_on_a_huge_profile(self):
+        # 3^10000 combinations has more digits than str() converts.
+        p = dl.random_profile(10_000, 3, seed=0)
+        with pytest.raises(BudgetExceededError, match=r"^at least 10\^4771 vertex combinations"):
+            utilitarian_distortion_bruteforce(dl.plurality(p), p)
 
     def test_rejects_prefix_profiles(self):
         topt = dl.truncate_profile(dl.random_profile(2, 3, seed=1), 2)
@@ -260,13 +267,14 @@ def _at_most(value: float, limit: float) -> bool:
 
 
 def _solved_by_the_bound(lot, p, value) -> list[int]:
-    """The candidates the oracle solves when candidate x's dual value is
-    ``value(x)``: candidate 0, then every later candidate whose bound B_X is
-    not at least ``SKIP_MARGIN`` below the running best under
-    ``_first_max``'s rule."""
+    """The candidates the oracle solves, in solve order, when candidate x's
+    dual value is ``value(x)``: candidate 0, then the others by descending
+    bound B_X, equal bounds by index, each one whose B_X is not at least
+    ``SKIP_MARGIN`` below the running best under ``_first_max``'s rule."""
     bound = oracles_mod._candidate_bounds(lot, p)
+    later = sorted(range(1, p.m), key=lambda x: (-bound[x], x))
     solved, best = [0], value(0)
-    for x in range(1, p.m):
+    for x in later:
         if bound[x] > best - oracles_mod.SKIP_MARGIN * max(1.0, abs(best)):
             solved.append(x)
             if oracles_mod._replaces(value(x), best):
@@ -483,6 +491,32 @@ class TestMetricProgramShape:
             assert prog.n_vars == k * per_ballot + 1
 
 
+class TestSolveOrder:
+    """After candidate 0, the metric oracle solves the candidates by
+    descending bound B_X, so that the likely winners come first."""
+
+    def test_metric_full_counts(self, monkeypatch):
+        # perfbench's metric-full inputs at seed 0. In index order the
+        # oracle solved 152 LPs and took 5,176 pivots on them.
+        counts = {"lps": 0, "pivots": 0}
+        solve, pivot = lp_mod.solve, lp_mod._pivot
+
+        def counting_solve(program, **kwargs):
+            counts["lps"] += 1
+            return solve(program, **kwargs)
+
+        def counting_pivot(tab, row, col):
+            counts["pivots"] += 1
+            pivot(tab, row, col)
+
+        monkeypatch.setattr(oracles_mod.lp, "solve", counting_solve)
+        monkeypatch.setattr(lp_mod, "_pivot", counting_pivot)
+        for seed in range(64):
+            p = dl.random_profile(8, 4, seed)
+            metric_distortion(dl.truncated_harmonic(p, 1.0), p)
+        assert counts == {"lps": 138, "pivots": 4_866}
+
+
 BOUND_CASES = {
     "thm53-108": (lambda: dl.thm53_instance(108, 9, 1, 2.0)[0], TOPT_RULES),
     "prop31-200-5": (
@@ -627,6 +661,26 @@ class TestExhaustiveWorstCase:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             exhaustive_worst_case(dl.plurality, 6, 6, "metric", budget=1000)
+
+    def test_budget_error_on_a_huge_shape(self):
+        # (9!)^2000 profiles has more digits than str() converts.
+        with pytest.raises(BudgetExceededError, match=r"^at least 10\^11119 profiles exceed"):
+            exhaustive_worst_case(dl.plurality, 2000, 9, "metric")
+
+    def test_count_text_past_the_str_limit(self):
+        # The largest e with 10^e <= count, at and around powers of ten; a
+        # count of want + 1 digits prints in full up to str()'s limit, here
+        # Python's default.
+        limit, saved = 4300, sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            for e in range(limit - 2, limit + 8):
+                for count, want in ((10**e - 1, e - 1), (10**e, e), (10**e + 1, e)):
+                    text = oracles_mod._count_text(count)
+                    assert text == (f"at least 10^{want}" if want >= limit else str(count)), e
+            assert oracles_mod._count_text(6**6) == "46656"
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     @pytest.mark.parametrize("t", [0, -1, 4])
     def test_t_out_of_range(self, monkeypatch, t):
