@@ -13,23 +13,21 @@ All variables are bounded below (default 0); rows compare ``<=``, ``=`` or
 duals, read off the final tableau, so a caller that solves the dual of its
 program gets the primal solution too (the metric oracle does).
 
-``solve(lp, start=outcome)`` starts from the final basis B of an optimal
-outcome whose program differs from ``lp`` only in the last ``lhs`` column,
-both with only inequality rows. The slack block of the final tableau is
-B^-1 up to column signs, which gives the new column; the old one stays as
-the one artificial, which phase 1 drives to 0. The basic values are then
-refined once against ``lp``'s rows. A warm tableau carries the rounding of
-every pivot since its chain's cold solve, so a caller that solves many
-programs near one base starts each from the base's cold outcome, not from
-the previous warm one: the metric oracle starts every candidate from
-candidate 0's. The ratio test pivots only on an entry above
-``PIVOT_FLOOR`` (1e-8), a hundred times ``PIVOT_TOL``: on a warm tableau a
-pivot on rounding residue of about 1e-10 grows the entries to 1e18 and
-beyond, and the solve then stalls or finds phase 1 unbounded. In a warm
-phase 1 the one artificial leaves as soon as its row ties in the ratio
-test, which ends the phase; Bland's lowest-index rule would keep it
-basic, at a value that is only rounding residue, through thousands of
-pivots.
+``solve(lp, basis=columns)`` starts phase 2 from a feasible basis the
+caller knows, with no phase 1: one column per row, variable j as j and row
+i's slack or surplus as ``n_vars + i``, in a program with only ``<=`` and
+``>=`` rows. B, the basis columns of [A | slack], is inverted once, the
+tableau is B^-1 [A | slack | b], and a singular B or a B^-1 b below
+-``FEAS_TOL`` raises ``ValueError``; the solver never falls back to a cold
+start. The slack block of the final tableau is the final B^-1 up to column
+signs, and the basic values are refined once through it against ``lp``'s
+rows, which removes most of the rounding of the inverse and the pivots.
+The ratio test pivots only on an entry above ``PIVOT_FLOOR`` (1e-8), a
+hundred times ``PIVOT_TOL``. Pivots leave rounding residue where exact
+arithmetic gives 0, and on the metric oracle's dual programs it reaches
+about 1e-10 (measured on tableaux chained from one solve to the next); a
+pivot on such an entry multiplies the others by its inverse, past 1e18,
+after which the solve stalls or fails its post-check.
 
 Each pivot subtracts one rank-one product from the whole tableau in place
 (``_pivot``), and the ratio test divides the pivot column's eligible rows
@@ -43,7 +41,7 @@ two zeros apart, so the pivot path is the same.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -145,17 +143,19 @@ class LPOutcome:
     y @ A <= c and b @ y = value.
     ``unbounded`` and ``infeasible``: nothing else.
 
-    An optimal outcome also keeps the ``program``, final ``tableau`` and
-    ``basis`` (one column per row) that a warm start reads.
+    Every outcome carries ``pivots``, the pivots taken in phase 1 (those
+    that drive a leftover artificial out included) and in phase 2. An
+    optimal outcome also carries its final ``basis``, one column per row,
+    numbered as ``solve``'s ``basis`` argument numbers them when every row
+    is an inequality.
     """
 
     status: str
     value: float | None = None
     assignment: np.ndarray | None = None
     duals: np.ndarray | None = None
-    program: LinearProgram | None = field(default=None, repr=False)
-    tableau: np.ndarray | None = field(default=None, repr=False)
     basis: tuple[int, ...] | None = field(default=None, repr=False)
+    pivots: tuple[int, int] = (0, 0)
 
 
 def _pivot(tab: np.ndarray, row: int, col: int):
@@ -182,50 +182,51 @@ def _run_phase(
     n_allowed: int,
     max_pivots: int,
     dump: IO[str] | None,
-    first_out: int | None = None,
-) -> str:
+) -> tuple[str, int]:
     """Pivot the bottom row to optimality or detect an unbounded column.
 
-    Returns OPTIMAL or UNBOUNDED. The bottom row holds reduced costs for a
-    maximization; one of the first ``n_allowed`` columns may enter while its
-    reduced cost is below -PIVOT_TOL, and it may pivot on a row whose entry
-    is above PIVOT_FLOOR. Ties in the ratio test go to the lowest basic
-    index, except that the basic column ``first_out`` leaves whenever its
-    row ties.
+    Returns OPTIMAL or UNBOUNDED and the number of pivots taken. The bottom
+    row holds reduced costs for a maximization; one of the first
+    ``n_allowed`` columns may enter while its reduced cost is below
+    -PIVOT_TOL, and it may pivot on a row whose entry is above PIVOT_FLOOR.
+    Ties in the ratio test go to the lowest basic index.
     """
     n_rows = tab.shape[0] - 1
     # Views stay current: pivots update tab in place.
     reduced = tab[-1, :n_allowed]
     rhs = tab[:n_rows, -1]
-    for _ in range(max_pivots):
+    for taken in range(max_pivots):
         eligible = reduced < -PIVOT_TOL
         col = int(eligible.argmax())  # Bland: lowest eligible index
         if not eligible[col]:
-            return OPTIMAL
+            return OPTIMAL, taken
         column = tab[:n_rows, col]
         rows = (column > PIVOT_FLOOR).nonzero()[0]
         if not rows.size:
-            return UNBOUNDED
+            return UNBOUNDED, taken
         ratios = rhs[rows] / column[rows]
         best = float(ratios.min())
         ties = rows[ratios <= best + 1e-9 * (1.0 + abs(best))].tolist()
-        if len(ties) == 1:
-            row = ties[0]
-        else:
-            # Bland: lowest basic index, after first_out.
-            row = min(ties, key=lambda i: (basis[i] != first_out, basis[i]))
-        if dump is not None:
-            dump.write(f"pivot: col {col} enters, row {row} (basic {basis[row]}) leaves\n")
-        _pivot(tab, row, col)
-        basis[row] = col
+        # Bland: lowest basic index.
+        row = ties[0] if len(ties) == 1 else min(ties, key=basis.__getitem__)
+        _logged_pivot(tab, basis, row, col, dump)
     raise SolverError(f"simplex did not terminate within {max_pivots} pivots")
+
+
+def _logged_pivot(tab: np.ndarray, basis: list[int], row: int, col: int, dump: IO[str] | None):
+    """Pivot on ``tab[row, col]``, make ``col`` basic in ``row`` and write
+    the pivot's ``pivot:`` line to ``dump``."""
+    if dump is not None:
+        dump.write(f"pivot: col {col} enters, row {row} (basic {basis[row]}) leaves\n")
+    _pivot(tab, row, col)
+    basis[row] = col
 
 
 def solve(
     lp: LinearProgram,
     *,
     dump: IO[str] | None = None,
-    start: LPOutcome | None = None,
+    basis: Sequence[int] | None = None,
 ) -> LPOutcome:
     """Solve an LP with the two-phase tableau simplex method.
 
@@ -239,11 +240,12 @@ def solve(
         lp: the program to solve.
         dump: optional text stream receiving the pivot log: one ``pivot:``
             line per pivot, with a ``--- phase 2 start`` line before phase 2.
-        start: optional optimal outcome of a program that differs from
-            ``lp`` only in the last ``lhs`` column, with only ``<=`` and
-            ``>=`` rows and a zero lower bound on the last variable; the
-            solve starts from its final basis. Any other ``start`` raises
-            ``ValueError``.
+        basis: optional feasible basis to start phase 2 from, with no
+            phase 1 (module docstring): one distinct column per row,
+            variable j as j and row i's slack or surplus as
+            ``n_vars + i``, in a program with only ``<=`` and ``>=`` rows.
+            Any other ``basis``, a singular one or one whose basic values
+            B^-1 b fall below -``FEAS_TOL`` raises ``ValueError``.
 
     Returns:
         An :class:`LPOutcome`. Optimal assignments satisfy every constraint
@@ -281,71 +283,56 @@ def solve(
     dual_sign = np.where(flip, -sense, sense) * np.where(signs == 0.0, 1.0, signs)
     dual_col = slack_col
 
-    if start is None:
-        art_rows = (signs <= 0.0).nonzero()[0]
-        n_art = art_rows.size
-        n_cols = art_start + n_art
+    art_rows = (signs <= 0.0).nonzero()[0] if basis is None else np.zeros(0, dtype=np.intp)
+    n_art = art_rows.size
+    n_cols = art_start + n_art
+    tab = np.zeros((n_rows + 1, n_cols + 1))
+    tab[:n_rows, :n] = a
+    tab[:n_rows, -1] = b
+    tab[slack_rows, slack_col[slack_rows]] = signs[slack_rows]
+    max_pivots = 10_000 + 100 * (n_rows + n_cols)
+    phase1 = 0
+
+    if basis is None:
         art_col = np.zeros(n_rows, dtype=np.intp)
         art_col[art_rows] = np.arange(art_start, n_cols)
-        tab = np.zeros((n_rows + 1, n_cols + 1))
-        tab[:n_rows, :n] = a
-        tab[:n_rows, -1] = b
-        tab[slack_rows, slack_col[slack_rows]] = signs[slack_rows]
         tab[art_rows, art_col[art_rows]] = 1.0
         # A <= row starts on its slack; every other row on its artificial.
         basis = np.where(signs > 0.0, slack_col, art_col).tolist()
         dual_col = np.where(signs == 0.0, art_col, slack_col)
-        art_rows = art_rows.tolist()
+        # Phase 1: maximize minus the artificial sum, starting from the
+        # all-artificial basis. The bottom row starts at minus the costs
+        # (-0 on the real and slack columns) and takes away each row whose
+        # artificial is basic, in row order (subtract.reduce folds left).
+        if n_art:
+            tab[-1, :art_start] = -0.0
+            tab[-1, art_start:-1] = 1.0
+            tab[-1] = np.subtract.reduce(tab[[n_rows] + art_rows.tolist()], axis=0)
+            status, phase1 = _run_phase(tab, basis, n_cols, max_pivots, dump)
+            if status != OPTIMAL:
+                raise SolverError("phase 1 is bounded by construction")
+            if tab[-1, -1] < -FEAS_TOL:
+                return LPOutcome(status=INFEASIBLE, pivots=(phase1, 0))
+            # Drive leftover artificials out of the basis; rows that cannot
+            # pivot are redundant and dropped.
+            drop: list[int] = []
+            for i in range(n_rows):
+                if basis[i] >= art_start:
+                    candidates = np.nonzero(np.abs(tab[i, :art_start]) > PIVOT_TOL)[0]
+                    if candidates.size:
+                        _logged_pivot(tab, basis, i, int(candidates[0]), dump)
+                        phase1 += 1
+                    else:
+                        drop.append(i)
+            if drop:
+                keep = [i for i in range(n_rows) if i not in drop]
+                tab = tab[keep + [n_rows]]
+                basis = [basis[i] for i in keep]
+                n_rows = len(basis)
+        refine = False
     else:
-        _check_start(lp, start)
-        # Every row is an inequality, so column n + i is row i's slack and
-        # holds signs[i] * B^-1 e_i. The old last column moves to
-        # art_start, the one artificial, and keeps its place in the basis.
-        prev = start.tableau
-        n_art = 1
-        n_cols = art_start + 1
-        tab = np.zeros((n_rows + 1, n_cols + 1))
-        tab[:n_rows, :art_start] = prev[:n_rows, :art_start]
-        tab[:n_rows, art_start] = prev[:n_rows, n - 1]
-        tab[:n_rows, -1] = prev[:n_rows, -1]
-        tab[:n_rows, n - 1] = prev[:n_rows, n:art_start] @ (signs * a[:, -1])
-        basis = [art_start if j == n - 1 else j for j in start.basis]
-        art_rows = [i for i, j in enumerate(basis) if j == art_start]
-
-    max_pivots = 10_000 + 100 * (n_rows + n_cols)
-
-    if n_art:
-        # Phase 1: maximize minus the artificial sum, starting from a
-        # feasible basis (the all-artificial one, or the start's). The bottom
-        # row starts at minus the costs (-0 on the real and slack columns)
-        # and takes away each row whose artificial is basic, in row order
-        # (subtract.reduce folds left).
-        tab[-1, :art_start] = -0.0
-        tab[-1, art_start:-1] = 1.0
-        tab[-1] = np.subtract.reduce(tab[[n_rows] + art_rows], axis=0)
-        # A warm start's one artificial leaves as soon as it ties (module
-        # docstring); once it has left, phase 1 is optimal.
-        first_out = None if start is None else art_start
-        if _run_phase(tab, basis, n_cols, max_pivots, dump, first_out) != OPTIMAL:
-            raise SolverError("phase 1 is bounded by construction")
-        if tab[-1, -1] < -FEAS_TOL:
-            return LPOutcome(status=INFEASIBLE)
-        # Drive leftover artificials out of the basis; rows that cannot pivot
-        # are redundant and dropped.
-        drop: list[int] = []
-        for i in range(n_rows):
-            if basis[i] >= art_start:
-                candidates = np.nonzero(np.abs(tab[i, :art_start]) > PIVOT_TOL)[0]
-                if candidates.size:
-                    _pivot(tab, i, int(candidates[0]))
-                    basis[i] = int(candidates[0])
-                else:
-                    drop.append(i)
-        if drop:
-            keep = [i for i in range(n_rows) if i not in drop]
-            tab = tab[keep + [n_rows]]
-            basis = [basis[i] for i in keep]
-            n_rows = len(basis)
+        basis = _basis_tableau(tab, basis, lp)
+        refine = True
 
     # Phase 2 bottom row: reduced costs of the real objective at the current
     # basis, starting from minus the costs (-0 off the real columns).
@@ -358,11 +345,12 @@ def solve(
             tab[-1] += costs[j] * tab[i]
     if dump is not None:
         dump.write("--- phase 2 start\n")
-    if _run_phase(tab, basis, art_start, max_pivots, dump) == UNBOUNDED:
-        return LPOutcome(status=UNBOUNDED)
+    status, phase2 = _run_phase(tab, basis, art_start, max_pivots, dump)
+    if status == UNBOUNDED:
+        return LPOutcome(status=UNBOUNDED, pivots=(phase1, phase2))
 
     values = tab[:n_rows, -1]
-    if start is not None:
+    if refine:
         values = _refined(values, basis, a, b, signs, tab[:n_rows, n:art_start])
     y = np.zeros(n_cols)
     y[basis] = values
@@ -375,19 +363,48 @@ def solve(
         value=value,
         assignment=x,
         duals=duals,
-        program=lp,
-        tableau=tab,
         basis=tuple(basis),
+        pivots=(phase1, phase2),
     )
+
+
+def _basis_tableau(tab: np.ndarray, basis: Sequence[int], lp: LinearProgram) -> list[int]:
+    """Turn ``tab``, holding [A | slack | b] above its bottom row, into
+    B^-1 [A | slack | b] for the columns ``basis``; return them as a list.
+
+    Raises ``ValueError`` unless every row is an inequality, ``basis``
+    names one distinct column of [A | slack] per row, B is nonsingular
+    (B^-1 B is the identity within 1e-9) and B^-1 b >= -``FEAS_TOL``.
+    """
+    n_rows = tab.shape[0] - 1
+    cols = [int(j) for j in basis]
+    if "=" in lp.relations:
+        raise ValueError("a starting basis needs a program with only <= and >= rows")
+    if len(cols) != n_rows or len(set(cols)) != n_rows:
+        raise ValueError(f"a starting basis needs {n_rows} distinct columns, got {len(cols)}")
+    if not all(0 <= j < tab.shape[1] - 1 for j in cols):
+        raise ValueError("a starting basis names a column outside the program")
+    body = tab[:n_rows]
+    try:
+        inverse = np.linalg.inv(body[:, cols])
+    except np.linalg.LinAlgError:
+        raise ValueError("the starting basis is singular") from None
+    body[:] = inverse @ body
+    if np.abs(body[:, cols] - np.eye(n_rows)).max() > 1e-9:
+        raise ValueError("the starting basis is singular")
+    body[:, cols] = np.eye(n_rows)
+    if (body[:, -1] < -FEAS_TOL).any():
+        raise ValueError("the starting basis is infeasible: B^-1 b has a negative entry")
+    return cols
 
 
 def _refined(
     values: np.ndarray, basis: list[int], a: np.ndarray, b: np.ndarray,
     signs: np.ndarray, slack_block: np.ndarray,
 ) -> np.ndarray:
-    """The basic values after one step of iterative refinement: a warm
-    tableau carries the rounding of every pivot since its chain's cold
-    solve, and the residual of B x_B = b on the rows (row i's slack at
+    """The basic values after one step of iterative refinement: a tableau
+    computed through an inverse carries its rounding and that of every pivot
+    since, and the residual of B x_B = b on the rows (row i's slack at
     column n + i), mapped back through the slack block, removes most of it."""
     n = a.shape[1]
     cols = np.array(basis)
@@ -397,33 +414,6 @@ def _refined(
     rows = cols[slack] - n
     resid[rows] -= signs[rows] * values[slack]
     return values + slack_block @ (signs * resid)
-
-
-def _check_start(lp: LinearProgram, start: LPOutcome):
-    """Raise ``ValueError`` unless ``solve(lp, start=start)`` may warm-start."""
-    if start.status != OPTIMAL or start.tableau is None:
-        raise ValueError("a warm start must be an optimal outcome of solve")
-    if "=" in lp.relations:
-        raise ValueError("a warm start needs a program with only <= and >= rows")
-    old = start.program
-    if not (
-        old.lhs.shape == lp.lhs.shape
-        and old.relations == lp.relations
-        and old.maximize == lp.maximize
-        and _same(old.objective, lp.objective)
-        and _same(old.rhs, lp.rhs)
-        and _same(old.lower_bounds, lp.lower_bounds)
-        and _same(old.lhs[:, :-1], lp.lhs[:, :-1])
-    ):
-        raise ValueError("a warm start must solve a program that differs only in the last lhs column")
-    if lp.lower_bounds[-1] != 0.0:
-        raise ValueError("a warm start needs a zero lower bound on the last variable")
-
-
-def _same(x: np.ndarray, y: np.ndarray) -> bool:
-    """Two equal-shape arrays of finite entries are equal: at once if they
-    are one array (the oracle shares its objective and rhs)."""
-    return x is y or bool((x == y).all())
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray):

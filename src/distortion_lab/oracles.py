@@ -42,9 +42,25 @@ or unbounded, comes with a concrete witness instance.
   min lambda s.t. A^T mu + a_X* lambda >= c, mu, lambda >= 0, which has
   one row per variable y (km + m(m-1)/2) instead of one per row of A;
   bounding lambda by 0 loses nothing because the primal value is
-  positive. The dual programs differ only in lambda's column a_X*, so
-  they are warm-started: X* = 0 from the all-artificial basis, each later
-  X* from X* = 0's optimal basis (``lp.solve``'s ``start``).
+  positive.
+
+  Each candidate's dual starts from its routing basis, with no phase 1
+  (``lp.solve``'s ``basis``), when every other alternative Z is ranked
+  above X* by some ballot. The basis routes each block's costs along its
+  own rows to d(b,X*): the chain columns from b's top down to X*; the
+  pair column of d(b,Z) - d(b,X*) <= e(Z,X*) for each Z that b does not
+  rank above X*; for each Z, the e column of e(Z,X*) <= d(b',Z) + d(b',X*)
+  of one block b' that ranks Z above X* (the heaviest, then the lowest
+  index), which carries g_Z = q_Z * (weight of the blocks not ranking Z
+  above X*) down the chain of b'; the surplus of every e row without X*;
+  lambda; and the surplus of every row d(b,X*) but the one where lambda
+  binds, the block with the largest 1 + 2 (g carried by b) / w_b. The
+  basis is triangular and every basic value is a nonnegative flow, so it
+  is feasible by construction; its lambda is at least V_X*, and phase 2
+  takes it down. It is the pairwise argument behind the bound B_X* below,
+  written as a dual solution. A candidate with no routing basis is solved
+  cold, from the all-artificial basis. No start depends on another
+  candidate's solve.
 
   A candidate is not solved at all when a pairwise bound rules it out
   (Anshelevich, Bhardwaj, Elkind, Postl and Skowron, AIJ 2018). If s > 0
@@ -54,16 +70,17 @@ or unbounded, comes with a concrete witness instance.
   So SC(Y) <= SC(X) + (n-s) d(X,Y) <= r(Y,X) SC(X) with
   r(Y,X) = 1 + 2(n-s)/s, and V_X <= B_X = sum_Y q_Y r(Y,X), where
   r(X,X) = 1, r = inf when s = 0 and a term with q_Y = 0 counts as 0.
-  Candidate 0 is always solved first; the others follow in descending
-  order of B_X (equal bounds by index), so that the likely winners raise
-  best early, and each is skipped when B_X* <= best - 1e-9 max(1, |best|),
-  best being the largest dual value so far under ``_first_max``'s rule.
-  The margin exceeds the solver's value error, so a skipped candidate's
-  dual value lies below the largest by more than ``_first_max``'s tie
-  margin and could never be chosen. The answer is ``_first_max`` over the
-  solved values in index order, and since every warm start is candidate
-  0's outcome, no solve depends on the order: the value, ``arg_optimum``
-  and witness are those of solving every candidate, to the bit.
+  The candidates are solved in descending order of B_X (equal bounds by
+  index), so that the likely winners raise best early; the first is
+  always solved, and each later one is skipped when
+  B_X* <= best - 1e-9 max(1, |best|), best being the largest dual value so
+  far under ``_first_max``'s rule. The margin exceeds the solver's value
+  error, so a skipped candidate's dual value lies below the largest by
+  more than ``_first_max``'s tie margin and could never be chosen. The
+  answer is ``_first_max`` over the solved values in index order, and
+  since no start depends on another solve, no solve depends on the order:
+  the value, ``arg_optimum`` and witness are those of solving every
+  candidate, to the bit.
 
   The row duals of the winning dual are an optimal y. They
   are checked against the primal (y >= 0, A y <= 0, a_X*.y = 1, c.y equal
@@ -360,6 +377,59 @@ def _candidate_bounds(lot: Lottery, p: Profile | TopTProfile) -> np.ndarray:
     return lot.prob[support] @ ratio[support]
 
 
+def _routing_basis(
+    rank: np.ndarray, w: np.ndarray, q: np.ndarray, x: int
+) -> list[int] | None:
+    """A feasible basis of candidate x's dual program, or None when some
+    other alternative is ranked above x by no ballot (module docstring).
+
+    ``rank`` holds each block's positions (m for an unranked alternative),
+    ``w`` the blocks' multiplicities and ``q`` the lottery. Columns are
+    numbered as ``lp.solve``'s ``basis``: the rows of ``_metric_rows``
+    (chain, pair, e) as mu, then lambda, then each dual row's surplus.
+    """
+    k, m = rank.shape
+    others = np.arange(m) != x
+    above = rank < rank[:, x, None]  # block b ranks z above x
+    if not above[:, others].any(axis=0).all():
+        return None
+    # The row layout of _metric_rows: k(m-1) chain rows, then the pair
+    # rows (b, z, y) that block b does not rank z above y in row-major
+    # order, then k blocks of e rows in the order of combinations.
+    pair = rank[:, :, None] >= rank[:, None, :]
+    pair[:, range(m), range(m)] = False
+    pair_row = k * (m - 1) + pair.cumsum().reshape(k, m, m) - 1
+    combo = np.zeros((m, m), dtype=np.intp)
+    iu = np.triu_indices(m, 1)
+    combo[iu] = range(len(iu[0]))
+    combo += combo.T
+    e_start = k * (m - 1) + int(pair.sum())
+    lam = e_start + k * len(iu[0])
+    surplus = lam + 1 + k * m  # the surplus of dual row e(Y,Z) is surplus + combo[Y,Z]
+    # Each z's e column comes from the heaviest block that ranks z above x
+    # (lowest index first) and carries g_z = q_z * (weight not ranking z
+    # above x); lambda binds where 1 + 2 * (load carried) / w_b is largest.
+    supplier = (above * w[:, None]).argmax(axis=0)
+    g = q * (w @ ~above)
+    load = np.bincount(supplier[others], weights=g[others], minlength=k)
+    binding = int((load / w).argmax())
+    cols = [lam]
+    for b, r in enumerate(rank[:, x].tolist()):
+        # The chain from b's top down to x: the first r rows of b's chain,
+        # or for an unranked x the t-1 consecutive rows and (last, x).
+        if r < m:
+            cols += range(b * (m - 1), b * (m - 1) + r)
+        else:
+            t = int((rank[b] < m).sum())
+            cols += range(b * (m - 1), b * (m - 1) + t - 1)
+            cols.append(b * (m - 1) + t - 1 + int((rank[b, :x] == m).sum()))
+    cols += pair_row[:, :, x][~above & others].tolist()
+    cols += [e_start + int(supplier[z]) * len(iu[0]) + combo[z, x] for z in np.flatnonzero(others)]
+    cols += [surplus + c for c, (y, z) in enumerate(zip(*iu)) if x not in (y, z)]
+    cols += [lam + 1 + b * m + x for b in range(k) if b != binding]
+    return [int(c) for c in cols]
+
+
 def metric_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
     """Worst-case metric distortion of ``lot`` on profile ``p``: the worst
     case over pseudometrics consistent with the given ballots.
@@ -373,21 +443,21 @@ def metric_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionRepor
     column holds w_b at row b*m + X*. The dual block A^T | a_X* is
     km + m(m-1)/2 rows by R + 1 columns,
     R = k(m-1) + k*m(m-1) + k(m-t)(m-t-1)/2: 38 x 121 at k=8, m=4 with full
-    ballots. Candidate 0 is solved cold; every later candidate passes
-    candidate 0's outcome as ``start``, since only lambda's column changes.
-    Starting from the previous candidate instead would carry the rounding
-    of every warm solve down the chain, which on ``thm53_instance`` grows
-    the tableau until the solve fails. The later candidates are solved in
-    descending order of their pairwise bound B_X* (``_candidate_bounds``),
-    equal bounds by index, and one whose B_X* is at least ``SKIP_MARGIN``
-    below the best dual value so far is skipped: V_X* <= B_X*, so it could
-    not be the maximum. ``_first_max`` then chooses among the solved
-    candidates in index order. Each solve's (mu, lambda) passes the solver's
-    feasibility check, so lambda_X bounds the primal value V_X from above,
-    as B_X does for a skipped X; the winning y is checked against the
-    primal, so c.y = lambda_win bounds V_win from below; together they
-    certify the reported maximum. Only then is y expanded, every agent
-    taking its ballot's row, and closed into the witness.
+    ballots. Each candidate starts from its routing basis
+    (``_routing_basis``) where one exists, with no phase 1, and cold
+    otherwise; no start depends on another candidate's solve. The
+    candidates are solved in descending order of their pairwise bound B_X*
+    (``_candidate_bounds``), equal bounds by index, and after the first,
+    one whose B_X* is at least ``SKIP_MARGIN`` below the best dual value so
+    far is skipped: V_X* <= B_X*, so it could not be the maximum.
+    ``_first_max`` then chooses among the solved candidates in index order.
+    Each solve's (mu, lambda) passes the solver's feasibility check, so
+    lambda_X bounds the primal value V_X from above, as B_X does for a
+    skipped X; the winning y is checked against the primal, so
+    c.y = lambda_win bounds V_win from below; together they certify the
+    reported maximum, whichever basis each solve started from. Only then
+    is y expanded, every agent taking its ballot's row, and closed into the
+    witness.
     """
     _check_dims(lot, p)
     # Each agent's block, numbered in order of first occurrence; then each
@@ -412,30 +482,26 @@ def metric_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionRepor
     objective[-1] = 1.0
     rel = (">=",) * nv
     bound = _candidate_bounds(lot, p)
-    # Candidate 0 first, then the rest by descending bound (ties by index).
-    order = [0] + sorted(range(1, m), key=bound.__getitem__, reverse=True)
-    first, best, solved = None, math.nan, []
-    for x_star in order:
+    rank = p.positions[agents]
+    best, solved = math.nan, []
+    # By descending bound (ties by index); each start is the candidate's own.
+    for x_star in sorted(range(m), key=bound.__getitem__, reverse=True):
         # V_X* <= B_X*, so this candidate cannot be the maximum.
-        if first is not None and bound[x_star] <= best - SKIP_MARGIN * max(1.0, abs(best)):
+        if solved and bound[x_star] <= best - SKIP_MARGIN * max(1.0, abs(best)):
             continue
         a = lhs.copy()
         a[x_star:km:m, -1] = w
         program = lp.LinearProgram(
             objective=objective, lhs=a, relations=rel, rhs=cost, maximize=False
         )
-        # Candidate 0 starts cold; each later one from candidate 0's basis.
-        if first is None:
-            dual = first = lp.solve(program)
-        else:
-            dual = lp.solve(program, start=first)
+        dual = lp.solve(program, basis=_routing_basis(rank, w, lot.prob, x_star))
         if dual.status != lp.OPTIMAL:
             raise lp.SolverError(
                 f"dual metric program for x*={x_star} returned {dual.status}, so the "
                 "primal is unbounded or infeasible after the closure test found "
                 "the distortion bounded"
             )
-        if dual is first or _replaces(dual.value, best):
+        if not solved or _replaces(dual.value, best):
             best = dual.value
         solved.append((x_star, dual.value, dual.duals))
 

@@ -19,6 +19,7 @@ from conftest import random_lottery
 from reference_oracles import (
     reference_completion_max,
     reference_metric_all_candidates,
+    reference_metric_cold_candidates,
     reference_metric_per_agent,
     reference_metric_primal,
     reference_metric_report,
@@ -143,6 +144,22 @@ def _repeated_ballot_cases(count: int):
         yield case, lot, p
 
 
+def _routing_cases(count: int):
+    """``_reference_cases``, ``_distinct_ballot_cases`` and
+    ``_repeated_ballot_cases``, ``count`` of each (full and top-t ballots,
+    none with a mass below 1e-7), then the four top-t rules on the paper's
+    families at small n: ``thm51_profile`` (12, 5, 2) and (9, 4, 2) and
+    ``thm53_instance(54, 9, 1, 2.0)``."""
+    yield from _reference_cases(count)
+    yield from _distinct_ballot_cases(count)
+    yield from _repeated_ballot_cases(count)
+    profiles = [dl.thm51_profile(12, 5, 2), dl.thm51_profile(9, 4, 2)]
+    profiles.append(dl.thm53_instance(54, 9, 1, 2.0)[0])
+    for k, p in enumerate(profiles):
+        for rule in (dl.plurality, dl.random_dictatorship, dl.top_t_det_rule, dl.top_t_truncated_harmonic):
+            yield f"{k}-{rule.__name__}", rule(p), p
+
+
 def _completion_cases(count: int, max_completions: int = 16):
     """Seeded top-t cases: n <= 4, m <= 5, 1 <= t < m, varied lotteries.
 
@@ -162,7 +179,7 @@ def _completion_cases(count: int, max_completions: int = 16):
         yield case, _varied_lottery(rng, case % 3, p), p
 
 
-RULES = ("abs+arg", "rel", "rel+tie", "bits", "abs")
+RULES = ("abs+arg", "rel", "rel+tie", "bits", "abs", "rel12+arg")
 
 
 @dataclass(frozen=True)
@@ -216,6 +233,10 @@ CROSS_CHECKS: tuple[CrossCheck, ...] = (
         "the candidates skipped by their pairwise bound", partial(_repeated_ballot_cases, 300),
         "bits", distinct=False, min_finite=0.5,
     ),
+    CrossCheck(
+        "metric-routing-vs-cold", "metric", reference_metric_cold_candidates,
+        "the routing-basis starts", partial(_routing_cases, 200), "rel12+arg", min_finite=0.5,
+    ),
     # arg_optimum is not compared: on ties the two routes may report
     # different optimal alternatives.
     CrossCheck(
@@ -238,7 +259,9 @@ def _witness_bytes(report) -> bytes:
 def compare(rule: str, got, want) -> tuple[bool, float]:
     """Whether the library report ``got`` matches the reference's ``want``
     under ``rule``, and the gap between their finite values that it reads:
-    absolute for ``abs`` rules, relative for ``rel`` ones, 0 for ``bits``."""
+    absolute for ``abs`` rules, relative for ``rel`` ones, 0 for ``bits``.
+    ``rel12+arg`` asks for a relative gap of at most 1e-12 and the same
+    ``arg_optimum``."""
     a, b, same_arg = got.value, want.value, got.arg_optimum == want.arg_optimum
     if rule == "bits":
         return a == b and same_arg and _witness_bytes(got) == _witness_bytes(want), 0.0
@@ -249,6 +272,8 @@ def compare(rule: str, got, want) -> tuple[bool, float]:
         return delta <= 1e-6 and (same_arg or rule == "abs"), delta
     if rule == "rel":  # values reach 1e10 on tiny masses
         return delta <= 1e-6 * max(1.0, b.value), delta / max(1.0, b.value)
+    if rule == "rel12+arg":
+        return delta <= 1e-12 * b.value and same_arg, delta / b.value
     # rel+tie: another optimum may win only if its value ties the best.
     gap = delta / b.value
     return gap <= 1e-6 and (same_arg or gap <= 1e-9), gap

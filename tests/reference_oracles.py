@@ -32,23 +32,27 @@ They are kept to cross-check the library's compact metric program, its
 utilitarian vertex choice and its combinatorial unboundedness tests on
 small shapes; they run on the direct ballot constraints.
 
-``reference_metric_dual_cold`` is the dual route as the library ran it
-before the candidates were chained: every candidate's dual program solved
-from the all-artificial basis, where the library starts each candidate
-after the first from candidate 0's optimal basis.
+``reference_metric_dual_cold`` is the dual route with every candidate's
+dual program solved from the all-artificial basis, where the library
+starts each candidate that has one from its routing basis
+(``oracles._routing_basis``) with no phase 1.
 
-``reference_metric_per_agent`` is the warm-started dual route as the library ran
-it before the program was collapsed to one block per distinct ballot: one
+``reference_metric_per_agent`` is the dual route as the library ran it
+before the program was collapsed to one block per distinct ballot: one
 block of m distances, chain rows and pair rows per agent, so agents who
-cast the same ballot get identical blocks. On profiles whose ballots are
-all distinct the two build the same arrays and must agree to the bit.
+cast the same ballot get identical blocks, each candidate started from the
+routing basis of that program where one exists. On profiles whose ballots
+are all distinct the two build the same arrays and the same starts, and
+must agree to the bit.
 
-``reference_metric_all_candidates`` is the warm-started route over one
-block per distinct ballot as the library ran it before it skipped the
-candidates that the pairwise bound B_X rules out: every candidate's dual
-solved (``reference_metric_candidate_duals``, which can also solve each one
-cold). A skipped candidate never replaces the best, so the two must agree
-to the bit. ``reference_candidate_bounds`` computes each B_X with one loop
+``reference_metric_all_candidates`` is the route over one block per
+distinct ballot as the library ran it before it skipped the candidates
+that the pairwise bound B_X rules out: every candidate's dual solved from
+its routing basis where one exists (``reference_metric_candidate_duals``,
+which can also solve each one cold). No start depends on another
+candidate's solve, and a skipped candidate never replaces the best, so the
+two must agree to the bit. ``reference_metric_cold_candidates`` solves
+each of those programs (``reference_metric_dual_programs``) cold. ``reference_candidate_bounds`` computes each B_X with one loop
 over the agents per pair of alternatives.
 
 ``reference_metric_rows`` is the metric program's row builder as the
@@ -122,6 +126,7 @@ from distortion_lab.oracles import (
     _metric_closure,
     _metric_rows,
     _metric_unbounded,
+    _routing_basis,
     _utilitarian_unbounded,
     rule_distortion,
 )
@@ -147,29 +152,28 @@ def reference_run_phase(
     n_allowed: int,
     max_pivots: int,
     dump,
-    first_out: int | None = None,
-) -> str:
+) -> tuple[str, int]:
     """``lp._run_phase`` with its ratio test on Python floats and every
     pivot taken by ``reference_pivot``; same signature and rules."""
     n_rows = tab.shape[0] - 1
     reduced = tab[-1, :n_allowed]
     rhs = tab[:n_rows, -1]
-    for _ in range(max_pivots):
+    for taken in range(max_pivots):
         eligible = reduced < -lp.PIVOT_TOL
         col = int(eligible.argmax())
         if not eligible[col]:
-            return lp.OPTIMAL
+            return lp.OPTIMAL, taken
         ratios = [
             (r / a, i)
             for i, (a, r) in enumerate(zip(tab[:n_rows, col].tolist(), rhs.tolist()))
             if a > lp.PIVOT_FLOOR
         ]
         if not ratios:
-            return lp.UNBOUNDED
+            return lp.UNBOUNDED, taken
         best = min(ratios)[0]
         cut = best + 1e-9 * (1.0 + abs(best))
         ties = [i for q, i in ratios if q <= cut]
-        row = min(ties, key=lambda i: (basis[i] != first_out, basis[i]))
+        row = min(ties, key=lambda i: basis[i])
         if dump is not None:
             dump.write(f"pivot: col {col} enters, row {row} (basic {basis[row]}) leaves\n")
         reference_pivot(tab, row, col)
@@ -407,9 +411,8 @@ def reference_metric_dual_cold(lot: Lottery, p: Profile | TopTProfile) -> Distor
 
 
 def reference_metric_per_agent(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
-    """Worst case via one dual block per agent, every candidate after the
-    first started from candidate 0's optimum through ``lp.solve``'s
-    ``start``, as the library starts them."""
+    """Worst case via one dual block per agent, each candidate started from
+    its routing basis where one exists, as the library starts them."""
     unbounded = _metric_unbounded(lot, p, range(p.n))
     if unbounded is not None:
         return unbounded
@@ -426,17 +429,14 @@ def reference_metric_per_agent(lot: Lottery, p: Profile | TopTProfile) -> Distor
     rel = (">=",) * nv
 
     def candidates() -> Iterator[tuple[float, tuple[int, np.ndarray]]]:
-        first = None
         for x_star in range(m):
             a = lhs.copy()
             a[x_star:nm:m, -1] = 1.0
             program = lp.LinearProgram(
                 objective=objective, lhs=a, relations=rel, rhs=cost, maximize=False
             )
-            if first is None:
-                dual = first = lp.solve(program)
-            else:
-                dual = lp.solve(program, start=first)
+            start = _routing_basis(p.positions, np.ones(n, dtype=np.int64), lot.prob, x_star)
+            dual = lp.solve(program, basis=start)
             if dual.status != lp.OPTIMAL:
                 raise RuntimeError(f"dual metric program for x*={x_star} returned {dual.status}")
             yield dual.value, (x_star, dual.duals)
@@ -449,14 +449,13 @@ def reference_metric_per_agent(lot: Lottery, p: Profile | TopTProfile) -> Distor
     )
 
 
-def reference_metric_candidate_duals(
-    lot: Lottery, p: Profile | TopTProfile, *, warm: bool = True
-) -> tuple[list[lp.LPOutcome], list[int], int]:
+def reference_metric_dual_programs(
+    lot: Lottery, p: Profile | TopTProfile
+) -> tuple[list[lp.LinearProgram], list[int], np.ndarray, np.ndarray]:
     """Every candidate's dual program over one block per distinct ballot,
-    as ``metric_distortion`` built it; each later candidate starts from
-    candidate 0's optimum (``warm``) or every candidate is solved cold. The
-    caller has ruled out unboundedness. Returns the outcomes, each agent's
-    block and k*m."""
+    as ``metric_distortion`` builds it, in index order. Returns the
+    programs, each agent's block, and each block's positions and
+    multiplicity."""
     block: dict[tuple[int, ...], int] = {}
     blocks = [block.setdefault(b, len(block)) for b in p.ballots]
     _, agents, w = np.unique(blocks, return_index=True, return_counts=True)
@@ -471,28 +470,51 @@ def reference_metric_candidate_duals(
     objective = np.zeros(lhs.shape[1])
     objective[-1] = 1.0
     rel = (">=",) * nv
-    duals: list[lp.LPOutcome] = []
+    programs = []
     for x_star in range(m):
         a = lhs.copy()
         a[x_star:km:m, -1] = w
-        program = lp.LinearProgram(
-            objective=objective, lhs=a, relations=rel, rhs=cost, maximize=False
+        programs.append(
+            lp.LinearProgram(objective=objective, lhs=a, relations=rel, rhs=cost, maximize=False)
         )
-        start = duals[0] if warm and duals else None
-        dual = lp.solve(program) if start is None else lp.solve(program, start=start)
+    return programs, blocks, p.positions[agents], w
+
+
+def reference_metric_candidate_duals(
+    lot: Lottery, p: Profile | TopTProfile, *, routing: bool = True
+) -> tuple[list[lp.LPOutcome], list[int], int]:
+    """Every candidate's dual program (``reference_metric_dual_programs``)
+    solved, each from its routing basis where one exists (``routing``) or
+    every one cold. The caller has ruled out unboundedness. Returns the
+    outcomes, each agent's block and k*m."""
+    programs, blocks, rank, w = reference_metric_dual_programs(lot, p)
+    duals: list[lp.LPOutcome] = []
+    for x_star, program in enumerate(programs):
+        start = _routing_basis(rank, w, lot.prob, x_star) if routing else None
+        dual = lp.solve(program, basis=start)
         if dual.status != lp.OPTIMAL:
             raise RuntimeError(f"dual metric program for x*={x_star} returned {dual.status}")
         duals.append(dual)
-    return duals, blocks, km
+    return duals, blocks, rank.size
 
 
 def reference_metric_all_candidates(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
-    """Worst case via every candidate's warm-started dual program, with no
-    candidate skipped by its bound B_X."""
+    """Worst case via every candidate's dual program, each started as the
+    library starts it, with no candidate skipped by its bound B_X."""
+    return _every_candidate(lot, p, routing=True)
+
+
+def reference_metric_cold_candidates(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:
+    """Worst case via every candidate's dual program over one block per
+    distinct ballot, each solved cold."""
+    return _every_candidate(lot, p, routing=False)
+
+
+def _every_candidate(lot: Lottery, p: Profile | TopTProfile, routing: bool) -> DistortionReport:
     unbounded = _metric_unbounded(lot, p, range(p.n))
     if unbounded is not None:
         return unbounded
-    duals, blocks, km = reference_metric_candidate_duals(lot, p)
+    duals, blocks, km = reference_metric_candidate_duals(lot, p, routing=routing)
     best_value, (best_x, y) = _first_max(
         (dual.value, (x_star, dual.duals)) for x_star, dual in enumerate(duals)
     )

@@ -300,33 +300,44 @@ def _redrawn(lp: LinearProgram, seed: int) -> LinearProgram:
     return dataclasses.replace(lp, lhs=lhs)
 
 
+def _feasible_basis(lp: LinearProgram, seed: int):
+    """A feasible basis of ``lp``'s rows, as ``solve``'s ``basis`` numbers
+    columns: the final basis of a cold solve of the same rows under a
+    random objective, or None if that solve is not optimal."""
+    objective = np.random.default_rng(seed).uniform(-1.0, 1.0, size=lp.n_vars)
+    out = solve(dataclasses.replace(lp, objective=objective))
+    return out.basis if out.status == OPTIMAL else None
+
+
 class TestWarmStart:
-    """``solve(..., start=)`` from the optimal basis of a program that differs
-    only in the last column, against a cold solve."""
+    """``solve(..., basis=)`` from a feasible basis, with no phase 1,
+    against a cold solve."""
 
     def test_matches_cold_solve(self):
         optimal, statuses, flipped, senses, failures = 0, set(), 0, set(), []
         for case in range(200):
             lp = _dual_case(case, relations=("<=", ">="), seed=8_300)
-            out = solve(lp)
-            assert out.status == OPTIMAL, case
             flipped += int((lp.rhs < 0).sum())
             senses.add(lp.maximize)
-            # A chain of two: the second solve starts from a warm outcome.
-            for k in range(2):
-                lp = _redrawn(lp, 9_100 + 2 * case + k)
-                warm, cold = solve(lp, start=out), solve(lp)
+            # The program and two redrawn twins, each from the final basis of
+            # its rows under another objective.
+            for k in range(3):
+                if k:
+                    lp = _redrawn(lp, 9_100 + 2 * case + k - 1)
+                basis, cold = _feasible_basis(lp, 9_500 + 3 * case + k), solve(lp)
                 statuses.add(cold.status)
-                if warm.status != cold.status:
-                    failures.append((case, k, warm.status, cold.status))
-                    break
-                if cold.status != OPTIMAL:
-                    break
+                if (basis is None) != (cold.status != OPTIMAL):
+                    failures.append((case, k, basis, cold.status))
+                if basis is None:
+                    continue
+                warm = solve(lp, basis=basis)
                 optimal += 1
+                if warm.status != OPTIMAL or warm.pivots[0] != 0:
+                    failures.append((case, k, warm.status, warm.pivots))
+                    continue
                 if abs(warm.value - cold.value) > 1e-9 * max(1.0, abs(cold.value)):
                     failures.append((case, k, warm.value, cold.value))
                 failures += [(case, k, p) for p in _dual_problems(lp, warm)]
-                out = warm
         assert failures == []
         # The sampler must reach the optimal branch often, another status at
         # least once, flipped rows and both senses.
@@ -334,66 +345,60 @@ class TestWarmStart:
         assert flipped >= 100 and senses == {True, False}
 
     def test_dump_stream_written(self):
-        # max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 ends at (2, 6);
-        # with y's column (0, 2, 6) the optimum is (4, 1), so the old y must
-        # leave the basis in phase 1.
-        rel = ("<=",) * 3
-        start = solve(_lp([3.0, 5.0], [[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]], rel, [4.0, 12.0, 18.0]))
+        # max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 6y <= 18, from y and the
+        # first two slacks (y = 3, value 15): x enters, and the optimum is
+        # (4, 1), value 17.
+        program = _lp([3.0, 5.0], [[1.0, 0.0], [0.0, 2.0], [3.0, 6.0]], ("<=",) * 3, [4.0, 12.0, 18.0])
         buf = io.StringIO()
-        out = solve(
-            _lp([3.0, 5.0], [[1.0, 0.0], [0.0, 2.0], [3.0, 6.0]], rel, [4.0, 12.0, 18.0]),
-            dump=buf,
-            start=start,
-        )
-        assert out.status == OPTIMAL
-        assert out.value == pytest.approx(17.0)
-        text = buf.getvalue()
-        phase1, marker, phase2 = text.partition("--- phase 2 start")
-        assert marker and "pivot:" in phase1
-        assert text.count("pivot:") == phase1.count("pivot:") + phase2.count("pivot:")
+        out = solve(program, dump=buf, basis=(1, 2, 3))
+        assert out.status == OPTIMAL and out.value == pytest.approx(17.0)
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == "--- phase 2 start" and out.pivots == (0, len(lines) - 1) != (0, 0)
+        assert all(line.startswith("pivot:") for line in lines[1:])
 
     def test_rejected_starts(self):
-        rel = ("<=", ">=")
-        lp = _lp([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], rel, [4.0, -1.0])
-        start = solve(lp)
-        assert start.status == OPTIMAL
-        redrawn = _lp([1.0, 1.0], [[1.0, 2.0], [1.0, 0.5]], rel, [4.0, -1.0])
-        assert solve(redrawn, start=start).status == OPTIMAL
-        # Another first column, or another right-hand side.
-        for other in (
-            _lp([1.0, 1.0], [[2.0, 2.0], [1.0, 0.5]], rel, [4.0, -1.0]),
-            _lp([1.0, 1.0], [[1.0, 2.0], [1.0, 0.5]], rel, [5.0, -1.0]),
-        ):
-            with pytest.raises(ValueError, match="differs only in the last"):
-                solve(other, start=start)
+        # x + y <= 4 and x - y >= -1: columns x, y, then the two rows' slacks.
+        lp = _lp([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], ("<=", ">="), [4.0, -1.0])
+        for basis in ((0, 3), (1, 2)):
+            assert solve(lp, basis=basis).value == pytest.approx(4.0)
+        for basis, message in [
+            ((0,), "2 distinct columns"),
+            ((0, 0), "2 distinct columns"),
+            ((0, 4), "outside the program"),
+            ((0, 2), "infeasible"),  # x = -1
+        ]:
+            with pytest.raises(ValueError, match=message):
+                solve(lp, basis=basis)
+        # Parallel rows: x and y are not a basis.
+        parallel = _lp([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], ("<=", "<="), [4.0, 10.0])
+        with pytest.raises(ValueError, match="singular"):
+            solve(parallel, basis=(0, 1))
         # A program with = rows.
         eq = _lp([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], ("<=", "="), [4.0, 0.0])
-        eq_start = solve(eq)
-        assert eq_start.status == OPTIMAL
         with pytest.raises(ValueError, match="only <= and >= rows"):
-            solve(_lp([1.0, 1.0], [[1.0, 2.0], [1.0, -2.0]], ("<=", "="), [4.0, 0.0]), start=eq_start)
-        # A start that is not optimal.
-        unbounded = solve(_lp([1.0, 1.0], [[1.0, -1.0]], ("<=",), [1.0]))
-        assert unbounded.status == UNBOUNDED
-        with pytest.raises(ValueError, match="optimal outcome"):
-            solve(_lp([1.0, 1.0], [[1.0, 1.0]], ("<=",), [1.0]), start=unbounded)
+            solve(eq, basis=(0, 1))
 
 
 def _seeded_solves():
-    """(program, start) pairs: ``_mixed_case`` and ``_dual_case`` programs
+    """(program, basis) pairs: ``_mixed_case`` and ``_dual_case`` programs
     solved cold (every relation and outcome, flipped rows, both senses),
-    and the redrawn twins of ``TestWarmStart`` started from an optimum."""
+    and the redrawn twins of ``TestWarmStart`` started from a feasible
+    basis."""
     for case in range(60):
         yield _mixed_case(case), None
     for case in range(200):
         yield _dual_case(case), None
     for case in range(100):
-        lp = _dual_case(case, relations=("<=", ">="), seed=8_300)
-        yield _redrawn(lp, 9_100 + 2 * case), solve(lp)
+        lp = _redrawn(_dual_case(case, relations=("<=", ">="), seed=8_300), 9_100 + 2 * case)
+        basis = _feasible_basis(lp, 9_500 + 3 * case)
+        if basis is not None:
+            yield lp, basis
 
 
 # The 64 profiles and the rule of perfbench's metric-full workload at seed 0.
 METRIC_FULL = [dl.random_profile(8, 4, seed) for seed in range(64)]
+# Metric programs for the pivot kernel: some of metric-full's and larger ones.
+METRIC_KERNEL = METRIC_FULL[:8] + [dl.random_profile(12, 5, seed) for seed in range(4)]
 
 
 def _metric_full_logs(monkeypatch) -> tuple[list[str], list]:
@@ -427,11 +432,11 @@ class TestPivotKernel:
             pivot(tab, row, col)
 
         monkeypatch.setattr(lp_mod, "_pivot", recording)
-        for program, start in _seeded_solves():
-            solve(program, start=start)
+        for program, basis in _seeded_solves():
+            solve(program, basis=basis)
         seeded = len(tableaux)
-        # The metric oracle's dual programs: cold, then warm and dense.
-        for p in METRIC_FULL[:8]:
+        # The metric oracle's dual programs, started from routing bases.
+        for p in METRIC_KERNEL:
             oracles_mod.metric_distortion(dl.truncated_harmonic(p, 1.0), p)
         monkeypatch.undo()
         negative, zero_signs = 0, 0
@@ -448,15 +453,39 @@ class TestPivotKernel:
         assert seeded >= 500 and len(tableaux) - seeded >= 200 and negative > 0
         acceptance_notes.append(
             f"pivot kernel vs outer-product reference: {len(tableaux)} pivots "
-            f"({seeded} on seeded programs), every entry equal; {zero_signs} zeros "
-            "differ in sign only"
+            f"({seeded} on seeded programs, {negative} negative), every entry equal; "
+            f"{zero_signs} zeros differ in sign only"
+        )
+
+    def test_every_pivot_is_logged_and_counted(self, monkeypatch, acceptance_notes):
+        # The pivots that drive a leftover artificial out after phase 1
+        # count in phase 1, in the log and in LPOutcome.pivots alike.
+        programs, pivot, calls = list(_seeded_solves()), lp_mod._pivot, []
+
+        def counting(tab, row, col):
+            calls.append(col)
+            pivot(tab, row, col)
+
+        monkeypatch.setattr(lp_mod, "_pivot", counting)
+        logged, counted = 0, 0
+        for case, (program, basis) in enumerate(programs):
+            buf = io.StringIO()
+            out = solve(program, dump=buf, basis=basis)
+            phase1, _, phase2 = buf.getvalue().partition("--- phase 2 start\n")
+            assert (phase1.count("pivot:"), phase2.count("pivot:")) == out.pivots, case
+            logged += phase1.count("pivot:") + phase2.count("pivot:")
+            counted += sum(out.pivots)
+        assert logged == len(calls) == counted >= 500
+        acceptance_notes.append(
+            f"pivot log vs pivot calls vs LPOutcome.pivots: {len(programs)} seeded programs, "
+            f"{logged} pivots each way"
         )
 
     def test_pivot_logs_match_reference_on_seeded_programs(self, monkeypatch):
         def run():
-            for program, start in _seeded_solves():
+            for program, basis in _seeded_solves():
                 buf = io.StringIO()
-                out = solve(program, dump=buf, start=start)
+                out = solve(program, dump=buf, basis=basis)
                 yield buf.getvalue().splitlines(), out
 
         got = list(run())

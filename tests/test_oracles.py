@@ -23,6 +23,7 @@ from reference_oracles import (
     reference_exhaustive_worst_case,
     reference_metric_candidate_duals,
     reference_metric_dual_cold,
+    reference_metric_dual_programs,
     reference_metric_rows,
     reference_utilitarian_dinkelbach,
     reference_utilitarian_per_candidate,
@@ -268,12 +269,13 @@ def _at_most(value: float, limit: float) -> bool:
 
 def _solved_by_the_bound(lot, p, value) -> list[int]:
     """The candidates the oracle solves, in solve order, when candidate x's
-    dual value is ``value(x)``: candidate 0, then the others by descending
-    bound B_X, equal bounds by index, each one whose B_X is not at least
-    ``SKIP_MARGIN`` below the running best under ``_first_max``'s rule."""
+    dual value is ``value(x)``: all of them by descending bound B_X, equal
+    bounds by index, the first always and each later one whose B_X is not
+    at least ``SKIP_MARGIN`` below the running best under ``_first_max``'s
+    rule."""
     bound = oracles_mod._candidate_bounds(lot, p)
-    later = sorted(range(1, p.m), key=lambda x: (-bound[x], x))
-    solved, best = [0], value(0)
+    first, *later = sorted(range(p.m), key=lambda x: (-bound[x], x))
+    solved, best = [first], value(first)
     for x in later:
         if bound[x] > best - oracles_mod.SKIP_MARGIN * max(1.0, abs(best)):
             solved.append(x)
@@ -288,6 +290,21 @@ def assert_skips_follow_the_bound(lot, p, solved, where=None):
     values = dict(solved)
     expected = _solved_by_the_bound(lot, p, lambda x: values.get(x, -math.inf))
     assert [x for x, _ in solved] == expected, where
+
+
+def _blocks(p):
+    """Each distinct ballot's positions and its multiplicity, in order of
+    first occurrence, as ``metric_distortion`` builds its blocks."""
+    first = {}
+    for i, ballot in enumerate(p.ballots):
+        first.setdefault(ballot, []).append(i)
+    agents = [group[0] for group in first.values()]
+    return p.positions[agents], np.array([len(group) for group in first.values()])
+
+
+def _ranked_below_all(rank, x) -> bool:
+    """Whether every other alternative is ranked above x by some ballot."""
+    return all(any(r[z] < r[x] for r in rank.tolist()) for z in range(rank.shape[1]) if z != x)
 
 
 def _warm_chain_cases():
@@ -315,12 +332,12 @@ WARM_START_CASES = {
 
 
 class TestWarmChainCrossCheck:
-    """Each candidate's dual program started from candidate 0's optimal
-    basis, against every candidate solved cold."""
+    """Each candidate's dual program started from its routing basis where
+    one exists (the start that replaced the chain from candidate 0's
+    optimal basis), against every candidate solved cold."""
 
     def test_chain_outcomes_are_freed(self, monkeypatch):
-        # Each outcome in the chain holds its program and whole tableau; none
-        # may outlive the call that made it.
+        # No outcome may outlive the call that made it.
         solve, made = lp_mod.solve, []
 
         def recording(program, **kwargs):
@@ -342,7 +359,7 @@ class TestWarmChainCrossCheck:
 
         def recording(program, **kwargs):
             out = solve(program, **kwargs)
-            log.append((program, "start" in kwargs, out))
+            log.append((program, kwargs.get("basis"), out))
             return out
 
         monkeypatch.setattr(oracles_mod.lp, "solve", recording)
@@ -363,9 +380,14 @@ class TestWarmChainCrossCheck:
                 assert chain == [] and got.arg_optimum == want.arg_optimum, case
                 continue
             finite += 1
-            # Candidate 0 is solved cold, and to the bit as a cold solve; the
-            # solved candidates are those the bound does not rule out.
-            assert [warm for _, warm, _ in chain] == [False] + [True] * (len(chain) - 1), case
+            # A candidate starts from its routing basis exactly when one
+            # exists, with no phase-1 pivot; the solved candidates are those
+            # the bound does not rule out.
+            rank, _ = _blocks(p)
+            for program, start, out in chain:
+                x = _candidate_of(program)
+                assert (start is not None) == _ranked_below_all(rank, x), (case, x)
+                assert start is None or out.pivots[0] == 0, (case, x)
             solved = [(_candidate_of(program), out.value) for program, _, out in chain]
             assert_skips_follow_the_bound(lot, p, solved, case)
             # A skipped candidate's cold value is at most its bound, and at
@@ -377,10 +399,12 @@ class TestWarmChainCrossCheck:
                     case, x,
                 )
             skipped += p.m - len(chain)
-            program, _, first = chain[0]
-            again = solve(program)
-            assert first.value == again.value, case
-            assert first.duals.tobytes() == again.duals.tobytes(), case
+            # A candidate with no routing basis is solved cold, to the bit.
+            for program, start, out in chain:
+                if start is None:
+                    again = solve(program)
+                    assert out.value == again.value, case
+                    assert out.duals.tobytes() == again.duals.tobytes(), case
             gap = abs(got.value.value - want.value.value) / want.value.value
             # A positive mass within 10 * PIVOT_TOL puts reduced costs of
             # that size in the dual, below which both solves stop, so two
@@ -397,7 +421,7 @@ class TestWarmChainCrossCheck:
         assert mismatches == []
         assert finite >= count // 2
         acceptance_notes.append(
-            f"metric warm chain vs cold candidates: {count} cases ({finite} finite), "
+            f"metric routing starts vs cold candidates: {count} cases ({finite} finite), "
             f"worst relative gap {worst:.1e} ({near_tol} cases with a mass below "
             f"1e-9 held to 1e-9), {moved} tied arg_optimum changes, {skipped} candidates "
             "skipped by their bound"
@@ -405,21 +429,21 @@ class TestWarmChainCrossCheck:
 
     @pytest.mark.parametrize("rule, value", [(dl.plurality, 5.0), (dl.copeland, 3.0)])
     def test_exact_table_values_stay_exact(self, rule, value):
-        # Both worst cases are won by a warm-started candidate. Without the
-        # refinement of the warm basic values they read 4.999999999999995
-        # and 2.999999999999999.
+        # Both worst cases were won by a candidate warm-started from
+        # candidate 0's basis, and without the refinement of its basic
+        # values they read 4.999999999999995 and 2.999999999999999.
         assert exhaustive_worst_case(rule, 3, 3, "metric")[0].value == value
 
     @pytest.mark.parametrize("case", list(WARM_START_CASES))
     def test_warm_starts_stay_bounded(self, monkeypatch, case):
         # Chained from the previous candidate with pivots down to PIVOT_TOL,
         # the warm tableau grew past 1e18 on each of these and the solve
-        # failed; every cold solve succeeds.
+        # failed; every cold solve succeeds, and so must the routing starts.
         make, rules = WARM_START_CASES[case]
         p = make()
         warm = {rid: metric_distortion(make_rule(rid, {})[0](p), p) for rid in rules}
         solve = lp_mod.solve
-        monkeypatch.setattr(oracles_mod.lp, "solve", lambda program, start=None: solve(program))
+        monkeypatch.setattr(oracles_mod.lp, "solve", lambda program, basis=None: solve(program))
         for rid, got in warm.items():
             lot = make_rule(rid, {})[0](p)
             want = metric_distortion(lot, p)
@@ -428,9 +452,84 @@ class TestWarmChainCrossCheck:
             assert_certified(lot, p, got, rid)
 
 
+def _routing_cases():
+    """Seeded full and top-t profiles at n <= 12, m <= 6 with truncated
+    harmonic, random dictatorship or random lotteries, then the four top-t
+    rules on ``thm51_profile`` (12, 5, 2) and ``thm53_instance(54, 9, 1, 2.0)``."""
+    for case in range(90):
+        rng = np.random.default_rng(71_000 + case)
+        n, m = int(rng.integers(1, 13)), int(rng.integers(2, 7))
+        p = dl.random_profile(n, m, seed=71_000 + case)
+        if case % 2:
+            p = dl.truncate_profile(p, int(rng.integers(1, m)))
+        kind = case % 3
+        if kind == 0:
+            lot = dl.truncated_harmonic(p) if case % 2 == 0 else dl.top_t_truncated_harmonic(p)
+        else:
+            lot = dl.random_dictatorship(p) if kind == 1 else random_lottery(rng, m)
+        yield case, lot, p
+    for name, p in (("thm51", dl.thm51_profile(12, 5, 2)), ("thm53", dl.thm53_instance(54, 9, 1, 2.0)[0])):
+        for rid in TOPT_RULES:
+            yield (name, rid), make_rule(rid, {})[0](p), p
+
+
+class TestRoutingBasis:
+    """Candidate x's routing basis (``oracles._routing_basis``) is a
+    feasible start of its dual program exactly when every other
+    alternative is ranked above x by some ballot."""
+
+    def test_is_a_feasible_start(self, acceptance_notes):
+        bases, none = 0, 0
+        for case, lot, p in _routing_cases():
+            programs, _, rank, w = reference_metric_dual_programs(lot, p)
+            for x, program in enumerate(programs):
+                cols = oracles_mod._routing_basis(rank, w, lot.prob, x)
+                assert (cols is not None) == _ranked_below_all(rank, x), (case, x)
+                if cols is None:
+                    none += 1
+                    continue
+                bases += 1
+                # Every row is >= with a surplus column of -1.
+                full = np.hstack([program.lhs, -np.eye(program.n_rows)])
+                b = full[:, cols]
+                assert b.shape == (program.n_rows, program.n_rows), (case, x)
+                assert np.linalg.matrix_rank(b) == program.n_rows, (case, x)
+                start = np.linalg.solve(b, program.rhs)
+                assert start.min() >= -1e-12, (case, x)
+                out = lp_mod.solve(program, basis=cols)
+                assert out.status == lp_mod.OPTIMAL and out.pivots[0] == 0, (case, x)
+                # The start is a feasible point of the minimization, so its
+                # lambda bounds the optimum from above.
+                lam = start[cols.index(program.n_vars - 1)]
+                assert lam >= out.value * (1.0 - 1e-12), (case, x, lam, out.value)
+        assert bases >= 300 and none >= 50, (bases, none)
+        acceptance_notes.append(
+            f"routing bases: {bases} feasible starts, {none} candidates without one"
+        )
+
+    def test_swapped_column_is_rejected(self):
+        lot, p = dl.truncated_harmonic(dl.random_profile(8, 4, 0)), dl.random_profile(8, 4, 0)
+        programs, _, rank, w = reference_metric_dual_programs(lot, p)
+        k, m = rank.shape
+        for x, program in enumerate(programs):
+            cols = oracles_mod._routing_basis(rank, w, lot.prob, x)
+            lam = program.n_vars - 1
+            # The surplus of the row d(b, x) where lambda binds is the one
+            # of those k surpluses left out; without lambda it goes negative.
+            (binding,) = {lam + 1 + b * m + x for b in range(k)} - set(cols)
+            swapped = [binding if c == lam else c for c in cols]
+            with pytest.raises(ValueError, match="infeasible"):
+                lp_mod.solve(program, basis=swapped)
+            # A surplus already in the basis leaves B singular.
+            twice = [cols[-1] if c == lam else c for c in cols]
+            with pytest.raises(ValueError, match="distinct"):
+                lp_mod.solve(program, basis=twice)
+
+
 class TestMetricProgramShape:
     """The oracle solves the dual: one row per primal variable, one program
-    for candidate 0 and for each later candidate its bound does not rule out.
+    for the candidate of highest bound and for each later candidate its
+    bound does not rule out.
 
     The primal has one block per distinct ballot, k of them: k(m-1)
     consistency rows, k*m(m-1)/2 pair rows d(b,X) - d(b,Y) <= e(X,Y) that
@@ -492,29 +591,30 @@ class TestMetricProgramShape:
 
 
 class TestSolveOrder:
-    """After candidate 0, the metric oracle solves the candidates by
-    descending bound B_X, so that the likely winners come first."""
+    """The metric oracle solves the candidates by descending bound B_X, so
+    that the likely winners come first, each from its routing basis where
+    one exists."""
 
     def test_metric_full_counts(self, monkeypatch):
-        # perfbench's metric-full inputs at seed 0. In index order the
-        # oracle solved 152 LPs and took 5,176 pivots on them.
-        counts = {"lps": 0, "pivots": 0}
-        solve, pivot = lp_mod.solve, lp_mod._pivot
+        # perfbench's metric-full inputs at seed 0. Candidate 0 cold first,
+        # then the rest warm from its basis by bound, the oracle solved 138
+        # LPs and took 4,866 pivots on them (152 and 5,176 in index order).
+        counts = {"lps": 0, "cold": 0, "phase 1": 0, "phase 2": 0}
+        solve = lp_mod.solve
 
         def counting_solve(program, **kwargs):
+            out = solve(program, **kwargs)
             counts["lps"] += 1
-            return solve(program, **kwargs)
-
-        def counting_pivot(tab, row, col):
-            counts["pivots"] += 1
-            pivot(tab, row, col)
+            counts["cold"] += kwargs["basis"] is None
+            counts["phase 1"] += out.pivots[0]
+            counts["phase 2"] += out.pivots[1]
+            return out
 
         monkeypatch.setattr(oracles_mod.lp, "solve", counting_solve)
-        monkeypatch.setattr(lp_mod, "_pivot", counting_pivot)
         for seed in range(64):
             p = dl.random_profile(8, 4, seed)
             metric_distortion(dl.truncated_harmonic(p, 1.0), p)
-        assert counts == {"lps": 138, "pivots": 4_866}
+        assert counts == {"lps": 98, "cold": 0, "phase 1": 0, "phase 2": 1_573}
 
 
 BOUND_CASES = {
@@ -541,7 +641,7 @@ class TestCandidateBound:
         """Assert B_X >= every candidate's cold dual value; return the number
         of candidates and of those the library skips."""
         bound = oracles_mod._candidate_bounds(lot, p)
-        duals, _, _ = reference_metric_candidate_duals(lot, p, warm=False)
+        duals, _, _ = reference_metric_candidate_duals(lot, p, routing=False)
         for x, dual in enumerate(duals):
             assert _at_most(dual.value, bound[x]), (where, x, dual.value, bound[x])
         solved = _solved_by_the_bound(lot, p, lambda x: duals[x].value)
@@ -629,7 +729,8 @@ class TestTypedFailures:
 
     def test_non_optimal_dual_is_a_solver_error(self, monkeypatch):
         monkeypatch.setattr(
-            oracles_mod.lp, "solve", lambda program: lp_mod.LPOutcome(status=lp_mod.UNBOUNDED)
+            oracles_mod.lp, "solve",
+            lambda program, basis=None: lp_mod.LPOutcome(status=lp_mod.UNBOUNDED),
         )
         with pytest.raises(dl.SolverError, match="returned unbounded"):
             metric_distortion(self.LOT, self.PROFILE)
@@ -639,7 +740,6 @@ class TestTypedFailures:
 
         def wrong_duals(program, **kwargs):
             out = solve(program, **kwargs)
-            # A later candidate starts from this outcome, so keep its basis.
             return dataclasses.replace(out, duals=-out.duals)
 
         monkeypatch.setattr(oracles_mod.lp, "solve", wrong_duals)
