@@ -389,45 +389,51 @@ def _routing_basis(
     (chain, pair, e) as mu, then lambda, then each dual row's surplus.
     """
     k, m = rank.shape
-    others = np.arange(m) != x
     above = rank < rank[:, x, None]  # block b ranks z above x
-    if not above[:, others].any(axis=0).all():
+    above[:, x] = True  # x needs no route to itself
+    if not above.any(axis=0).all():
         return None
     # The row layout of _metric_rows: k(m-1) chain rows, then the pair
     # rows (b, z, y) that block b does not rank z above y in row-major
-    # order, then k blocks of e rows in the order of combinations.
+    # order, then k blocks of m(m-1)/2 e rows in the order of combinations.
     pair = rank[:, :, None] >= rank[:, None, :]
     pair[:, range(m), range(m)] = False
-    pair_row = k * (m - 1) + pair.cumsum().reshape(k, m, m) - 1
-    combo = np.zeros((m, m), dtype=np.intp)
-    iu = np.triu_indices(m, 1)
-    combo[iu] = range(len(iu[0]))
-    combo += combo.T
-    e_start = k * (m - 1) + int(pair.sum())
-    lam = e_start + k * len(iu[0])
-    surplus = lam + 1 + k * m  # the surplus of dual row e(Y,Z) is surplus + combo[Y,Z]
+    pair_row = pair.cumsum().reshape(k, m, m) + (k * (m - 1) - 1)
+    n_e = m * (m - 1) // 2
+    e_start = int(pair_row[-1, -1, -1]) + 1
+    lam = e_start + k * n_e
     # Each z's e column comes from the heaviest block that ranks z above x
     # (lowest index first) and carries g_z = q_z * (weight not ranking z
-    # above x); lambda binds where 1 + 2 * (load carried) / w_b is largest.
-    supplier = (above * w[:, None]).argmax(axis=0)
-    g = q * (w @ ~above)
-    load = np.bincount(supplier[others], weights=g[others], minlength=k)
+    # above x), 0 for x; lambda binds where 1 + 2 * (load carried) / w_b
+    # is largest.
+    supplier = (above * w[:, None]).argmax(axis=0).tolist()
+    load = np.bincount(supplier, weights=q * (w @ ~above), minlength=k)
     binding = int((load / w).argmax())
     cols = [lam]
+    # The chain from each block's top down to x: the first r rows of its
+    # chain, or for an unranked x the t-1 consecutive rows and (last, x).
+    ranked = (rank < m).sum(axis=1).tolist()
+    unranked_before = (rank[:, :x] == m).sum(axis=1).tolist()
     for b, r in enumerate(rank[:, x].tolist()):
-        # The chain from b's top down to x: the first r rows of b's chain,
-        # or for an unranked x the t-1 consecutive rows and (last, x).
+        chain = b * (m - 1)
         if r < m:
-            cols += range(b * (m - 1), b * (m - 1) + r)
+            cols += range(chain, chain + r)
         else:
-            t = int((rank[b] < m).sum())
-            cols += range(b * (m - 1), b * (m - 1) + t - 1)
-            cols.append(b * (m - 1) + t - 1 + int((rank[b, :x] == m).sum()))
-    cols += pair_row[:, :, x][~above & others].tolist()
-    cols += [e_start + int(supplier[z]) * len(iu[0]) + combo[z, x] for z in np.flatnonzero(others)]
-    cols += [surplus + c for c, (y, z) in enumerate(zip(*iu)) if x not in (y, z)]
+            cols += range(chain, chain + ranked[b] - 1)
+            cols.append(chain + ranked[b] - 1 + unranked_before[b])
+    cols += pair_row[:, :, x][~above].tolist()
+    # {y, z} with y < z is e row y(2m - y - 1)/2 + z - y - 1 of its block.
+    cols += [
+        e_start + s * n_e + min(z, x) * (2 * m - min(z, x) - 1) // 2 + abs(z - x) - 1
+        for z, s in enumerate(supplier) if z != x
+    ]
+    surplus = lam + 1 + k * m  # the surplus of the first e row
+    cols += [
+        surplus + c
+        for c, pair_yz in enumerate(itertools.combinations(range(m), 2)) if x not in pair_yz
+    ]
     cols += [lam + 1 + b * m + x for b in range(k) if b != binding]
-    return [int(c) for c in cols]
+    return cols
 
 
 def metric_distortion(lot: Lottery, p: Profile | TopTProfile) -> DistortionReport:

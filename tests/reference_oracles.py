@@ -52,8 +52,9 @@ its routing basis where one exists (``reference_metric_candidate_duals``,
 which can also solve each one cold). No start depends on another
 candidate's solve, and a skipped candidate never replaces the best, so the
 two must agree to the bit. ``reference_metric_cold_candidates`` solves
-each of those programs (``reference_metric_dual_programs``) cold. ``reference_candidate_bounds`` computes each B_X with one loop
-over the agents per pair of alternatives.
+each of those programs (``reference_metric_dual_programs``) cold.
+``reference_candidate_bounds`` computes each B_X with one loop over the
+agents per pair of alternatives.
 
 ``reference_metric_rows`` is the metric program's row builder as the
 library first ran it, reading each agent's ranks from a ``{x: rank}`` dict

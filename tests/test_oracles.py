@@ -429,9 +429,8 @@ class TestWarmChainCrossCheck:
 
     @pytest.mark.parametrize("rule, value", [(dl.plurality, 5.0), (dl.copeland, 3.0)])
     def test_exact_table_values_stay_exact(self, rule, value):
-        # Both worst cases were won by a candidate warm-started from
-        # candidate 0's basis, and without the refinement of its basic
-        # values they read 4.999999999999995 and 2.999999999999999.
+        # Both worst cases are exact, and a start computed through an
+        # inverse must still read them to the bit.
         assert exhaustive_worst_case(rule, 3, 3, "metric")[0].value == value
 
     @pytest.mark.parametrize("case", list(WARM_START_CASES))
@@ -520,7 +519,7 @@ class TestRoutingBasis:
             swapped = [binding if c == lam else c for c in cols]
             with pytest.raises(ValueError, match="infeasible"):
                 lp_mod.solve(program, basis=swapped)
-            # A surplus already in the basis leaves B singular.
+            # A surplus named twice is rejected before B is factored.
             twice = [cols[-1] if c == lam else c for c in cols]
             with pytest.raises(ValueError, match="distinct"):
                 lp_mod.solve(program, basis=twice)
